@@ -1,7 +1,8 @@
 // Context-gated intrusion detection (the paper's §1 motivation as a
 // subsystem): signature matching restricted to grammatical context vs the
 // same signatures applied context-free. Reports per-rule-count false
-// positives on decoy-laden traffic, and scan throughput.
+// positives on decoy-laden traffic, scan throughput, and the raw tagging
+// throughput of the three engines on the same traffic.
 
 #include <chrono>
 #include <cstdio>
@@ -14,6 +15,9 @@
 #include "nids/context_filter.h"
 #include "nids/scan_engine.h"
 #include "obs/metrics.h"
+#include "tagger/functional_model.h"
+#include "tagger/fused_model.h"
+#include "tagger/lazy_dfa.h"
 
 namespace cfgtag::bench {
 namespace {
@@ -64,6 +68,22 @@ std::string MakeDecoyTraffic(const std::vector<nids::Rule>& rules,
   return out;
 }
 
+// MB/s of `seconds` spent on `bytes`.
+double Mbps(size_t bytes, double seconds) {
+  return bytes / 1e6 / (seconds > 0 ? seconds : 1e-9);
+}
+
+// Seconds for one tagging pass of `engine` over `traffic`; the tags are
+// returned through `tags` for the cross-engine check.
+template <typename Engine>
+double TimeTagging(const Engine& engine, const std::string& traffic,
+                   std::vector<tagger::Tag>* tags) {
+  const auto t0 = std::chrono::steady_clock::now();
+  *tags = engine.TagAll(traffic);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
 void Run(bool smoke) {
   auto g = grammar::ParseGrammar(kProtocol);
   CheckOk(g.status(), "protocol grammar");
@@ -72,9 +92,9 @@ void Run(bool smoke) {
   std::printf(
       "Context-gated NIDS vs context-free signatures\n"
       "(decoy traffic: every signature hit is a false positive)\n\n");
-  std::printf("%8s | %12s %12s | %14s %14s %14s %14s\n", "rules",
-              "naive FPs", "context FPs", "scan MB/s", "fused MB/s",
-              "lazy MB/s", "engine4 MB/s");
+  std::printf("%8s | %12s %12s | %12s %12s | %14s %12s %12s\n", "rules",
+              "naive FPs", "context FPs", "scan MB/s", "engine4 MB/s",
+              "functional MB/s", "fused MB/s", "lazy MB/s");
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   for (int nrules : {4, 16, 64}) {
@@ -83,14 +103,6 @@ void Run(bool smoke) {
     opt.tagger.arm_mode = tagger::ArmMode::kResync;
     auto filter = ValueOrDie(
         nids::ContextFilter::Create(g->Clone(), rules, opt), "filter");
-    // The same filter with the fused tagging backend behind Scan().
-    opt.tagger.backend = tagger::TaggerBackend::kFused;
-    auto fused_filter = ValueOrDie(
-        nids::ContextFilter::Create(g->Clone(), rules, opt), "fused filter");
-    // And with the lazy-DFA backend.
-    opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-    auto lazy_filter = ValueOrDie(
-        nids::ContextFilter::Create(g->Clone(), rules, opt), "lazy filter");
     const std::string traffic = MakeDecoyTraffic(rules, messages, 7);
 
     const auto naive = filter.ScanUngated(traffic);
@@ -100,26 +112,6 @@ void Run(bool smoke) {
     const auto t1 = std::chrono::steady_clock::now();
     const double secs =
         std::chrono::duration<double>(t1 - t0).count();
-
-    // Fused backend: identical alerts required before timing counts.
-    const auto t4 = std::chrono::steady_clock::now();
-    const auto fused_alerts = fused_filter.Scan(traffic);
-    const auto t5 = std::chrono::steady_clock::now();
-    const double fsecs = std::chrono::duration<double>(t5 - t4).count();
-    if (fused_alerts != context) {
-      std::fprintf(stderr, "FATAL fused/functional alert mismatch\n");
-      std::abort();
-    }
-
-    // Lazy-DFA backend: same contract.
-    const auto t6 = std::chrono::steady_clock::now();
-    const auto lazy_alerts = lazy_filter.Scan(traffic);
-    const auto t7 = std::chrono::steady_clock::now();
-    const double lsecs = std::chrono::duration<double>(t7 - t6).count();
-    if (lazy_alerts != context) {
-      std::fprintf(stderr, "FATAL lazy/functional alert mismatch\n");
-      std::abort();
-    }
 
     // The same scan through the parallel engine, sharded across 4
     // workers — the before/after of the batch-scan change.
@@ -135,30 +127,50 @@ void Run(bool smoke) {
       std::fprintf(stderr, "FATAL engine/sequential alert mismatch\n");
       std::abort();
     }
-    const double scan_mbps = traffic.size() / 1e6 / (secs > 0 ? secs : 1e-9);
-    const double fused_mbps =
-        traffic.size() / 1e6 / (fsecs > 0 ? fsecs : 1e-9);
-    const double lazy_mbps =
-        traffic.size() / 1e6 / (lsecs > 0 ? lsecs : 1e-9);
-    std::printf("%8d | %12zu %12zu | %14.1f %14.1f %14.1f %14.1f\n", nrules,
-                naive.size(), context.size(), scan_mbps, fused_mbps,
-                lazy_mbps,
-                traffic.size() / 1e6 / (esecs > 0 ? esecs : 1e-9));
+
+    // The tagging layer alone, per engine, on the same traffic; the fused
+    // and lazy-DFA tags must equal the functional reference's.
+    const auto functional = ValueOrDie(
+        tagger::FunctionalTagger::Create(&*g, opt.tagger), "functional");
+    const auto fused =
+        ValueOrDie(tagger::FusedTagger::Create(&*g, opt.tagger), "fused");
+    const auto lazy =
+        ValueOrDie(tagger::LazyDfaTagger::Create(&*g, opt.tagger), "lazy");
+    std::vector<tagger::Tag> want, got;
+    const double functional_secs = TimeTagging(functional, traffic, &want);
+    const double fused_secs = TimeTagging(fused, traffic, &got);
+    if (got != want) {
+      std::fprintf(stderr, "FATAL fused/functional tag mismatch\n");
+      std::abort();
+    }
+    const double lazy_secs = TimeTagging(lazy, traffic, &got);
+    if (got != want) {
+      std::fprintf(stderr, "FATAL lazy/functional tag mismatch\n");
+      std::abort();
+    }
+
+    const double scan_mbps = Mbps(traffic.size(), secs);
+    std::printf("%8d | %12zu %12zu | %12.1f %12.1f | %14.1f %12.1f %12.1f\n",
+                nrules, naive.size(), context.size(), scan_mbps,
+                Mbps(traffic.size(), esecs),
+                Mbps(traffic.size(), functional_secs),
+                Mbps(traffic.size(), fused_secs),
+                Mbps(traffic.size(), lazy_secs));
     const std::string rules_label = "rules=\"" + std::to_string(nrules) +
                                     "\"";
-    reg.GetGauge("cfgtag_bench_nids_mbps{backend=\"functional\"," +
-                     rules_label + "}",
-                 "ContextFilter::Scan MB/s by tagging backend")
+    reg.GetGauge("cfgtag_bench_nids_mbps{" + rules_label + "}",
+                 "ContextFilter::Scan MB/s")
         ->Set(scan_mbps);
-    reg.GetGauge(
-           "cfgtag_bench_nids_mbps{backend=\"fused\"," + rules_label + "}",
-           "ContextFilter::Scan MB/s by tagging backend")
-        ->Set(fused_mbps);
-    reg.GetGauge(
-           "cfgtag_bench_nids_mbps{backend=\"lazy_dfa\"," + rules_label +
-               "}",
-           "ContextFilter::Scan MB/s by tagging backend")
-        ->Set(lazy_mbps);
+    const std::pair<const char*, double> engines[] = {
+        {"functional", functional_secs},
+        {"fused", fused_secs},
+        {"lazy_dfa", lazy_secs}};
+    for (const auto& [name, engine_secs] : engines) {
+      reg.GetGauge(std::string("cfgtag_bench_nids_tag_mbps{engine=\"") +
+                       name + "\"," + rules_label + "}",
+                   "Tagging MB/s of one engine on the NIDS traffic")
+          ->Set(Mbps(traffic.size(), engine_secs));
+    }
   }
 
   std::printf(

@@ -1,9 +1,11 @@
 // Software throughput of every engine in the repository (google-benchmark).
 // The paper's hardware throughput is Fmax x 1 byte/cycle (reported by
 // bench_table1); these benches measure what the *software* components
-// deliver on the host: the bit-parallel functional model, the reference LL
-// parser, the Aho-Corasick naive matcher, and the cycle-accurate gate-level
-// simulation (orders of magnitude slower, by design).
+// deliver on the host: the three tagging engines (the functional reference
+// model, the fused tables, and the lazy DFA that serves CompiledTagger),
+// the reference LL parser, the Aho-Corasick naive matcher, and the
+// cycle-accurate gate-level simulation (orders of magnitude slower, by
+// design).
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -50,68 +52,51 @@ const std::vector<std::string>& Messages() {
   return *kMessages;
 }
 
-void BM_FunctionalModel(benchmark::State& state) {
-  const int copies = static_cast<int>(state.range(0));
-  core::CompiledTagger tagger = CompileXmlRpc(copies);
+// Tags the workload with `engine` (built by the caller over `copies`
+// copies of the grammar, default options) once per benchmark iteration.
+template <typename Engine>
+void RunEngine(benchmark::State& state, const Engine& engine) {
   const std::string& input = Workload();
   size_t tags = 0;
-  for (auto _ : state) {
-    tagger.Tag(input, [&tags](const tagger::Tag&) {
-      ++tags;
-      return true;
-    });
-  }
+  const tagger::TagSink sink = [&tags](const tagger::Tag&) {
+    ++tags;
+    return true;
+  };
+  for (auto _ : state) engine.Run(input, sink);
   benchmark::DoNotOptimize(tags);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));
-  state.counters["grammar_bytes"] =
-      static_cast<double>(tagger.hardware().pattern_bytes);
+}
+
+void BM_FunctionalModel(benchmark::State& state) {
+  const grammar::Grammar g = DuplicatedXmlRpc(static_cast<int>(state.range(0)));
+  const auto engine =
+      ValueOrDie(tagger::FunctionalTagger::Create(&g, {}), "functional");
+  RunEngine(state, engine);
+  state.counters["grammar_bytes"] = static_cast<double>(g.PatternBytes());
 }
 BENCHMARK(BM_FunctionalModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void BM_FusedModel(benchmark::State& state) {
-  // Same machine, fused backend: one word-aligned global state bitmap
+  // Same machine, fused engine: one word-aligned global state bitmap
   // stepped with byte-class-compressed masks.
-  const int copies = static_cast<int>(state.range(0));
-  hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kFused;
-  core::CompiledTagger tagger = CompileXmlRpc(copies, opt);
-  const std::string& input = Workload();
-  size_t tags = 0;
-  for (auto _ : state) {
-    tagger.Tag(input, [&tags](const tagger::Tag&) {
-      ++tags;
-      return true;
-    });
-  }
-  benchmark::DoNotOptimize(tags);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
+  const grammar::Grammar g = DuplicatedXmlRpc(static_cast<int>(state.range(0)));
+  const auto engine = ValueOrDie(tagger::FusedTagger::Create(&g, {}), "fused");
+  RunEngine(state, engine);
   state.counters["byte_classes"] =
-      static_cast<double>(tagger.fused_model()->NumByteClasses());
+      static_cast<double>(engine.NumByteClasses());
 }
 BENCHMARK(BM_FusedModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void BM_LazyDfaModel(benchmark::State& state) {
   // The fused engine memoized as a lazily built DFA: interned global-
   // bitmap configurations, byte-class alphabet, cached tag emissions.
-  const int copies = static_cast<int>(state.range(0));
-  hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-  core::CompiledTagger tagger = CompileXmlRpc(copies, opt);
-  const std::string& input = Workload();
-  size_t tags = 0;
-  for (auto _ : state) {
-    tagger.Tag(input, [&tags](const tagger::Tag&) {
-      ++tags;
-      return true;
-    });
-  }
-  benchmark::DoNotOptimize(tags);
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-  state.counters["byte_classes"] = static_cast<double>(
-      tagger.lazy_model()->fused().NumByteClasses());
+  const grammar::Grammar g = DuplicatedXmlRpc(static_cast<int>(state.range(0)));
+  const auto engine =
+      ValueOrDie(tagger::LazyDfaTagger::Create(&g, {}), "lazy-dfa");
+  RunEngine(state, engine);
+  state.counters["byte_classes"] =
+      static_cast<double>(engine.fused().NumByteClasses());
 }
 BENCHMARK(BM_LazyDfaModel)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kMillisecond);
 
@@ -182,7 +167,7 @@ void BM_CompileTagger(benchmark::State& state) {
   const int copies = static_cast<int>(state.range(0));
   for (auto _ : state) {
     core::CompiledTagger tagger = CompileXmlRpc(copies);
-    benchmark::DoNotOptimize(tagger.hardware().pattern_bytes);
+    benchmark::DoNotOptimize(tagger.engine().caches());
   }
 }
 BENCHMARK(BM_CompileTagger)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
@@ -421,7 +406,6 @@ void RecordArtifactComparison(bool smoke) {
             : std::string_view(full);
 
   hwgen::HwOptions opt;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
   // The default 4096-state budget covers the BFS-shallow prefix of the
   // product space, but this workload's hot loop lives ~600 states deep and
@@ -643,14 +627,16 @@ void RecordAttributionOverhead(bool smoke) {
 }
 
 // Acceptance gauge for the resilience layer's disarmed cost: the same
-// compiled tagger scans the same resync stream through the plain Tag()
-// path and through TagWithControl() with a default (inert) ScanControl —
-// infinite deadline, inert cancel token, 64 KiB check interval, fault
-// injector disarmed. The difference is the whole price of the deadline/
-// cancel/budget plumbing when nothing is armed; the CI release-bench lane
-// gates it < 2% out of BENCH_10.json. Methodology is the attribution
-// gauge's: short adjacent off/on pairs on thread CPU time, alternating
-// order, median of per-pair ratios (see RecordAttributionOverhead).
+// compiled tagger scans the same resync stream through its bare engine
+// (engine().Run) and through TagWithControl() with a default (inert)
+// ScanControl — infinite deadline, inert cancel token, 64 KiB check
+// interval, fault injector disarmed; Tag() is that same controlled path.
+// The difference is the whole price of the deadline/cancel/budget
+// plumbing, the flush padding and the metrics when nothing is armed; the
+// CI release-bench lane gates it < 2% out of BENCH_10.json. Methodology
+// is the attribution gauge's: short adjacent off/on pairs on thread CPU
+// time, alternating order, median of per-pair ratios (see
+// RecordAttributionOverhead).
 void RecordResilienceOverhead(bool smoke) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string& full = Workload();
@@ -659,7 +645,6 @@ void RecordResilienceOverhead(bool smoke) {
   grammar::Grammar g = DuplicatedXmlRpc(4);
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
-  opt.tagger.backend = tagger::TaggerBackend::kFused;
   auto tagger =
       ValueOrDie(core::CompiledTagger::Compile(std::move(g), opt), "compile");
 
@@ -679,7 +664,7 @@ void RecordResilienceOverhead(bool smoke) {
     if (controlled) {
       (void)tagger.TagWithControl(input, sink, inert);
     } else {
-      tagger.Tag(input, sink);
+      tagger.engine().Run(input, sink);
     }
     const double t1 = thread_seconds();
     benchmark::DoNotOptimize(tags);
@@ -699,7 +684,7 @@ void RecordResilienceOverhead(bool smoke) {
   time_run(false);  // warm up caches and the session pool
   time_run(true);
   for (int r = 0; r < pairs; ++r) {
-    double pair[2];  // [0] = plain Tag, [1] = TagWithControl
+    double pair[2];  // [0] = bare engine, [1] = TagWithControl
     for (int leg = 0; leg < 2; ++leg) {
       const bool on = (leg == 0) == ((r & 1) != 0);
       pair[on ? 1 : 0] = time_leg(on);
@@ -712,19 +697,19 @@ void RecordResilienceOverhead(bool smoke) {
   std::sort(ratios.begin(), ratios.end());
   const double overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
   std::printf(
-      "\nResilience overhead (fused x4, %zu KB): plain %.1f MB/s, "
+      "\nResilience overhead (x4, %zu KB): bare %.1f MB/s, "
       "controlled %.1f MB/s, overhead %.2f%% (budget < 2%%)\n",
       input.size() >> 10, off_mbps, on_mbps, overhead_pct);
   reg.GetGauge("cfgtag_bench_resilience_mbps{control=\"off\"}",
-               "Fused sequential MB/s through the plain Tag() path")
+               "Sequential MB/s through the bare serving engine")
       ->Set(off_mbps);
   reg.GetGauge("cfgtag_bench_resilience_mbps{control=\"on\"}",
-               "Fused sequential MB/s through TagWithControl() with an "
+               "Sequential MB/s through TagWithControl() with an "
                "inert default ScanControl")
       ->Set(on_mbps);
   reg.GetGauge("cfgtag_bench_resilience_overhead_pct",
                "Percent throughput lost to the disarmed resilience layer "
-               "(inert ScanControl vs plain Tag; CI gate: < 2)")
+               "(inert ScanControl vs bare engine; CI gate: < 2)")
       ->Set(overhead_pct);
 }
 

@@ -43,7 +43,7 @@ cond: "true" | "false";
     return 1;
   }
 
-  // 4. Tag a sentence with the functional model.
+  // 4. Tag a sentence with the software engine.
   const std::string input = "if true then go else stop";
   std::printf("--- tagging: \"%s\" ---\n", input.c_str());
   for (const tagger::Tag& t : tagger->Tag(input)) {
@@ -56,7 +56,7 @@ cond: "true" | "false";
   auto hw_tags = tagger->TagCycleAccurate(input);
   auto bus_tags = tagger->TagViaIndexBus(input);
   std::printf(
-      "\ncycle-accurate simulation: %zu tags (%s the functional model)\n",
+      "\ncycle-accurate simulation: %zu tags (%s the software engine)\n",
       hw_tags->size(),
       *hw_tags == tagger->Tag(input) ? "identical to" : "DIFFERS FROM");
   std::printf("index-encoder bus:         %zu tags\n", bus_tags->size());

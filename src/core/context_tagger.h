@@ -33,7 +33,7 @@ class ContextualTagger {
   static StatusOr<ContextualTagger> Compile(
       const grammar::Grammar& grammar, const hwgen::HwOptions& options = {});
 
-  // Tags with context, via the functional model.
+  // Tags with context, via the software tagging engine.
   std::vector<ContextTag> Tag(std::string_view input) const;
 
   // Cycle-accurate variant (gate-level netlist of the expanded design).

@@ -16,8 +16,6 @@
 #include "rtl/device.h"
 #include "rtl/techmap.h"
 #include "rtl/timing.h"
-#include "tagger/functional_model.h"
-#include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/tag.h"
 
@@ -49,12 +47,18 @@ struct ImplementationReport {
 };
 
 // The library's main entry point: compiles a grammar into (a) a fast
-// software tagger, (b) a gate-level netlist of the paper's architecture,
-// and (c) area/timing reports for a target FPGA device. The two tagging
-// engines implement identical semantics; the cycle-accurate engine exists
-// to validate the hardware, the functional model to use it at speed.
+// software tagger and, on demand, (b) a gate-level netlist of the paper's
+// architecture with (c) area/timing reports for a target FPGA device.
+// Tagging is served by one engine, tagger::LazyDfaTagger over the fused
+// tables. The netlist is generated the first time a method below needs it,
+// so callers that only tag never pay for hardware generation; the
+// cycle-accurate engine exists to validate that netlist against Tag().
 class CompiledTagger {
  public:
+  // Builds the fused tables and the serving engine in front of them. The
+  // engine caches transitions when LazyDfaTagger::AutoPrefers holds for the
+  // grammar and steps the fused tables directly otherwise. Neither the
+  // netlist nor the functional reference model is built here.
   static StatusOr<CompiledTagger> Compile(grammar::Grammar grammar,
                                           const hwgen::HwOptions& options = {});
 
@@ -63,10 +67,12 @@ class CompiledTagger {
   // software engine's tables serialized into one flat, checksummed,
   // mmap-able file, loadable without recompiling the grammar.
 
-  // Serializes the software tagger — fused or lazy-DFA backend only; the
-  // functional backend keeps no flat tables and returns an error. For the
-  // lazy backend the artifact also carries an ahead-of-time determinized
-  // transition table (options.tagger.aot_state_budget states).
+  // Serializes the serving engine's tables. When the engine caches
+  // transitions or options.tagger.aot_state_budget is nonzero, the
+  // artifact is a lazy-DFA one that also carries an ahead-of-time
+  // determinized transition table (aot_state_budget states) and loads as a
+  // caching engine; otherwise it is a fused one and loads as a non-caching
+  // engine.
   StatusOr<std::string> Serialize() const;
 
   // Rebuilds a tagger from artifact bytes (one aligned copy) or straight
@@ -81,37 +87,34 @@ class CompiledTagger {
   // Content-addressed compile cache under `cache_dir`, keyed by
   // (grammar::CanonicalHash, artifact::OptionsHash) — pure content, so
   // textually reordered but equivalent grammars share an entry. A hit
-  // loads the artifact (no hwgen, no regex compilation of the tables); a
-  // miss compiles, stores the artifact atomically, and returns the full
-  // tagger. A kAuto backend request is resolved to the lazy DFA whenever
-  // AOT is enabled, so cached cold starts run out of the baked table.
+  // loads the artifact (no regex compilation of the tables); a miss
+  // compiles, stores the artifact atomically, and returns the compiled
+  // tagger. With AOT enabled the stored artifact carries a baked
+  // transition table, so cached cold starts run out of it.
   static StatusOr<CompiledTagger> CompileCached(grammar::Grammar grammar,
                                                 const hwgen::HwOptions& options,
                                                 const std::string& cache_dir);
 
   // False when this tagger was loaded from an artifact: only the software
-  // engine exists — hardware(), model() and the netlist-backed methods
+  // engine exists — hardware() and the netlist-backed methods
   // (TagCycleAccurate, Implement, ExportVhdl, ...) are unavailable.
-  bool has_hardware() const { return !software_only_; }
+  bool has_hardware() const { return hardware_ != nullptr; }
 
-  CompiledTagger(CompiledTagger&&) = default;
-  CompiledTagger& operator=(CompiledTagger&&) = default;
+  CompiledTagger(CompiledTagger&&) noexcept;
+  CompiledTagger& operator=(CompiledTagger&&) noexcept;
+  ~CompiledTagger();
 
   const grammar::Grammar& grammar() const {
     return grammar_ ? *grammar_ : *loaded_grammar_;
   }
-  const hwgen::GeneratedTagger& hardware() const { return hardware_; }
-  const tagger::FunctionalTagger& model() const { return *model_; }
-  // The fused bit-parallel engine; built only when the resolved backend is
-  // TaggerBackend::kFused (null otherwise).
-  const tagger::FusedTagger* fused_model() const { return fused_.get(); }
-  // The lazy-DFA engine; built only when the resolved backend is
-  // TaggerBackend::kLazyDfa (null otherwise). It owns the fused engine it
-  // memoizes.
-  const tagger::LazyDfaTagger* lazy_model() const { return lazy_.get(); }
-  // The engine Tag() dispatches to. A kAuto request is resolved during
-  // Compile (see LazyDfaTagger::AutoPrefers), so this is never kAuto.
-  tagger::TaggerBackend backend() const { return options_.tagger.backend; }
+  // The generated netlist. It is built once, on the first call to this or
+  // any netlist-backed method below, from any thread; every later call
+  // sees the same object. A generator error (e.g. an unsupported
+  // bytes_per_cycle) is returned here and by each of those methods.
+  StatusOr<const hwgen::GeneratedTagger*> hardware() const;
+  // The engine Tag() serves from; engine().caches() tells whether its
+  // sessions memoize transitions.
+  const tagger::LazyDfaTagger& engine() const { return *engine_; }
   const hwgen::HwOptions& options() const { return options_; }
 
   // --- Tagging -----------------------------------------------------------
@@ -119,15 +122,16 @@ class CompiledTagger {
   // no new token can start there) before scanning; a trailing open-class
   // token may therefore report an end offset just past the input.
 
-  // Fast software tagging via the bit-parallel functional model.
+  // Software tagging through engine(). Tag(input, sink) is
+  // TagWithControl with an inert control.
   std::vector<tagger::Tag> Tag(std::string_view input) const;
   void Tag(std::string_view input, const tagger::TagSink& sink) const;
 
-  // Controlled tagging: the same tag stream as Tag(), but the input is
-  // fed in control.check_interval_bytes chunks with a deadline/cancel
-  // check (and the scan.chunk fault site) at each boundary — the byte-
-  // stepping hot loops are untouched. On a trip the scan stops at the
-  // last chunk boundary and returns kDeadlineExceeded / kCancelled; every
+  // Controlled tagging: the input is fed in control.check_interval_bytes
+  // chunks with a deadline/cancel check (and the scan.chunk fault site) at
+  // each boundary — the byte-stepping hot loops are untouched. On a trip
+  // the scan stops at the last chunk boundary and returns
+  // kDeadlineExceeded / kCancelled; every
   // tag already emitted to `sink` is valid for the consumed prefix (a tag
   // still open at the stop point is simply not reported, exactly as if
   // the stream had ended there without its flush). The trip is counted
@@ -171,8 +175,8 @@ class CompiledTagger {
 
   // Emits a self-checking VHDL testbench that feeds `input` into the
   // exported design (ExportVhdl with the same entity name) and asserts the
-  // match outputs this library computed — the hand-off artifact for users
-  // verifying the VHDL in a real simulator (GHDL etc.).
+  // match outputs the serving engine computes — the hand-off artifact for
+  // users verifying the VHDL in a real simulator (GHDL etc.).
   StatusOr<std::string> ExportVhdlTestbench(const std::string& entity_name,
                                             std::string_view input) const;
 
@@ -180,25 +184,26 @@ class CompiledTagger {
   static constexpr char kFlushByte = '\n';
 
  private:
-  CompiledTagger() = default;
+  // The netlist, generated on first use (see hardware()).
+  struct Hardware;
+
+  CompiledTagger();
 
   // Serialize with caller-chosen header hashes (the compile cache stamps
   // the lookup key rather than recomputing it from resolved options).
   StatusOr<std::string> SerializeWithHashes(uint64_t grammar_hash,
                                             uint64_t options_hash) const;
   static StatusOr<CompiledTagger> AdoptLoaded(tagger::artifact::LoadedTagger);
-  Status RequireHardware(const char* what) const;
+  // hardware(), with `what` naming the caller in the loaded-tagger error.
+  StatusOr<const hwgen::GeneratedTagger*> Netlist(const char* what) const;
 
   std::unique_ptr<grammar::Grammar> grammar_;  // stable address
   // Artifact-loaded taggers observe the grammar owned by the engine's
   // backing instead (grammar_ stays null; see grammar()).
   const grammar::Grammar* loaded_grammar_ = nullptr;
-  bool software_only_ = false;
   hwgen::HwOptions options_;
-  hwgen::GeneratedTagger hardware_;
-  std::unique_ptr<tagger::FunctionalTagger> model_;
-  std::unique_ptr<tagger::FusedTagger> fused_;  // only for the fused backend
-  std::unique_ptr<tagger::LazyDfaTagger> lazy_;  // only for the lazy backend
+  std::unique_ptr<Hardware> hardware_;  // null when loaded from an artifact
+  std::unique_ptr<tagger::LazyDfaTagger> engine_;
 };
 
 }  // namespace cfgtag::core

@@ -100,8 +100,7 @@ PositionAutomaton PositionAutomaton::Build(const RegexNode& re) {
   return pa;
 }
 
-void PositionAutomaton::EnsureTables() const {
-  if (tables_built_) return;
+void PositionAutomaton::BuildStepTables() {
   const size_t nw = NumWords();
   const size_t np = positions.size();
   auto set_bit = [](std::vector<uint64_t>& v, uint32_t p) {
@@ -125,13 +124,11 @@ void PositionAutomaton::EnsureTables() const {
       }
     }
   }
-  tables_built_ = true;
 }
 
 void PositionAutomaton::StepState(const uint64_t* state, bool inject,
                                   unsigned char c,
                                   uint64_t* next_state) const {
-  EnsureTables();
   const size_t nw = NumWords();
   const size_t np = positions.size();
   for (size_t w = 0; w < nw; ++w) next_state[w] = 0;
@@ -154,7 +151,6 @@ void PositionAutomaton::StepState(const uint64_t* state, bool inject,
 }
 
 bool PositionAutomaton::Accepts(const uint64_t* state) const {
-  EnsureTables();
   for (size_t w = 0; w < NumWords(); ++w) {
     if (state[w] & last_mask_[w]) return true;
   }
@@ -163,7 +159,6 @@ bool PositionAutomaton::Accepts(const uint64_t* state) const {
 
 bool PositionAutomaton::CanExtend(const uint64_t* state,
                                   unsigned char c) const {
-  EnsureTables();
   const size_t nw = NumWords();
   const size_t np = positions.size();
   const std::vector<uint64_t>& cm = class_mask_[c];

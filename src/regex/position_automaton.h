@@ -36,6 +36,10 @@ struct PositionAutomaton {
   // States are bitmaps over positions, stored in 64-bit words.
   size_t NumWords() const { return (positions.size() + 63) / 64; }
 
+  // Builds the dense tables the three methods below read. Call it once,
+  // before the automaton is shared between threads; they are const reads.
+  void BuildStepTables();
+
   // state' = { q in follow(p) : p in state, c in class(q) }
   //          u { q in first : inject, c in class(q) }
   void StepState(const uint64_t* state, bool inject, unsigned char c,
@@ -50,17 +54,13 @@ struct PositionAutomaton {
   bool CanExtend(const uint64_t* state, unsigned char c) const;
 
  private:
-  // Lazily-built dense helper tables for the bit-parallel stepper.
-  void EnsureTables() const;
-
   // reach_[p] = bitmap of follow(p); first_mask_ = bitmap of first;
   // last_mask_ = bitmap of accepting positions;
   // class_mask_[c] = bitmap of positions whose class contains byte c.
-  mutable std::vector<std::vector<uint64_t>> reach_;
-  mutable std::vector<uint64_t> first_mask_;
-  mutable std::vector<uint64_t> last_mask_;
-  mutable std::vector<std::vector<uint64_t>> class_mask_;
-  mutable bool tables_built_ = false;
+  std::vector<std::vector<uint64_t>> reach_;
+  std::vector<uint64_t> first_mask_;
+  std::vector<uint64_t> last_mask_;
+  std::vector<std::vector<uint64_t>> class_mask_;
 };
 
 }  // namespace cfgtag::regex

@@ -437,11 +437,7 @@ class Loader {
       }
     }
     options.arm_mode = static_cast<ArmMode>(hdr.arm_mode);
-    options.anchored = true;  // arm_mode already holds the effective mode
     options.longest_match = hdr.longest_match != 0;
-    options.backend = hdr.backend == kArtifactLazyDfa
-                          ? TaggerBackend::kLazyDfa
-                          : TaggerBackend::kFused;
     options.dfa_cache_bytes = hdr.dfa_cache_bytes;
     options.dfa_flush_fallback = hdr.dfa_flush_fallback;
     options.aot_state_budget = hdr.aot_states;
@@ -490,13 +486,11 @@ class Loader {
     out.artifact_bytes = size;
     out.aot_states = hdr.aot_states;
     out.grammar = backing->grammar.get();
-    if (hdr.backend == kArtifactLazyDfa) {
-      if (aot != nullptr) aot->backing = backing;
-      out.lazy = std::make_unique<LazyDfaTagger>(
-          LazyDfaTagger::Wrap(std::move(t), std::move(aot)));
-    } else {
-      out.fused = std::make_unique<FusedTagger>(std::move(t));
-    }
+    // A lazy artifact serves through the transition cache (warm out of its
+    // baked table when it has one); a fused artifact steps the fused engine.
+    if (aot != nullptr) aot->backing = backing;
+    out.engine = std::make_unique<LazyDfaTagger>(LazyDfaTagger::Wrap(
+        std::move(t), std::move(aot), hdr.backend == kArtifactLazyDfa));
     return out;
   }
 };

@@ -14,20 +14,19 @@
 
 namespace cfgtag::tagger::artifact {
 
-// A tagger reconstructed from an artifact. Exactly one of `fused` / `lazy`
-// is set, per the backend the artifact was serialized for. The tagger's
-// backing keeps both the mapped bytes and the rebuilt grammar alive, so
-// the engines can be moved out and used on their own; `grammar` is an
-// observer into that backing.
+// A tagger reconstructed from an artifact. The engine caches transitions
+// when the artifact was serialized as kArtifactLazyDfa and steps the fused
+// tables directly for kArtifactFused. Its backing keeps both the mapped
+// bytes and the rebuilt grammar alive, so the engine can be moved out and
+// used on its own; `grammar` is an observer into that backing.
 struct LoadedTagger {
-  TaggerOptions options;  // reconstructed; backend = the artifact's engine
+  TaggerOptions options;  // reconstructed from the header
   uint64_t grammar_hash = 0;
   uint64_t options_hash = 0;
   size_t artifact_bytes = 0;
   uint32_t aot_states = 0;
   const grammar::Grammar* grammar = nullptr;
-  std::unique_ptr<FusedTagger> fused;
-  std::unique_ptr<LazyDfaTagger> lazy;
+  std::unique_ptr<LazyDfaTagger> engine;
 };
 
 // Validates and binds an artifact already in memory. The bytes are copied

@@ -102,9 +102,8 @@ uint64_t OptionsHash(const TaggerOptions& options) {
     }
     h = HashMix64(h, w);
   }
-  h = HashMix64(h, static_cast<uint64_t>(options.EffectiveArmMode()));
+  h = HashMix64(h, static_cast<uint64_t>(options.arm_mode));
   h = HashMix64(h, options.longest_match ? 1 : 0);
-  h = HashMix64(h, static_cast<uint64_t>(options.backend));
   h = HashMix64(h, options.dfa_cache_bytes);
   h = HashMix64(h, options.dfa_flush_fallback);
   h = HashMix64(h, options.aot_state_budget);
@@ -172,7 +171,7 @@ class Writer {
     hdr.grammar_hash = req.grammar_hash;
     hdr.options_hash = req.options_hash;
     hdr.backend = static_cast<uint8_t>(req.backend);
-    hdr.arm_mode = static_cast<uint8_t>(f.options().EffectiveArmMode());
+    hdr.arm_mode = static_cast<uint8_t>(f.options().arm_mode);
     hdr.longest_match = f.options().longest_match ? 1 : 0;
     hdr.num_classes = static_cast<uint32_t>(f.NumByteClasses());
     hdr.num_tokens = static_cast<uint32_t>(f.num_tokens_);

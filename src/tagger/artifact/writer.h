@@ -24,10 +24,10 @@ struct SerializeRequest {
 };
 
 // Deterministic hash of the TaggerOptions fields that shape an artifact's
-// tables (delimiter set, effective arm mode, longest-match, requested
-// backend, lazy-DFA cache knobs, AOT budget). Two options values that hash
-// equal produce byte-identical artifacts for the same grammar — the other
-// half of the content-addressed cache key next to grammar::CanonicalHash.
+// tables (delimiter set, arm mode, longest-match, lazy-DFA cache knobs,
+// AOT budget). Two options values that hash equal produce byte-identical
+// artifacts for the same grammar — the other half of the
+// content-addressed cache key next to grammar::CanonicalHash.
 uint64_t OptionsHash(const TaggerOptions& options);
 
 // Serializes the tagger's tables (plus, for the lazy backend, a freshly

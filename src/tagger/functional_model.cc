@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "tagger/session_pool.h"
+#include "obs/trace.h"
 
 namespace cfgtag::tagger {
 
@@ -12,6 +12,7 @@ FunctionalTagger::FunctionalTagger(const grammar::Grammar* grammar,
 
 StatusOr<FunctionalTagger> FunctionalTagger::Create(
     const grammar::Grammar* grammar, const TaggerOptions& options) {
+  obs::ScopedSpan span("tagger.CreateFunctionalModel");
   CFGTAG_ASSIGN_OR_RETURN(auto analysis, grammar::Analyze(*grammar));
   FunctionalTagger t(grammar, options);
   t.analysis_ = std::move(analysis);
@@ -19,6 +20,7 @@ StatusOr<FunctionalTagger> FunctionalTagger::Create(
   t.automata_.reserve(num_tokens);
   for (const grammar::TokenDef& def : grammar->tokens()) {
     t.automata_.push_back(regex::PositionAutomaton::Build(*def.regex));
+    t.automata_.back().BuildStepTables();
   }
   t.follow_tokens_.resize(num_tokens);
   for (size_t tok = 0; tok < num_tokens; ++tok) {
@@ -37,7 +39,6 @@ StatusOr<FunctionalTagger> FunctionalTagger::Create(
     t.word_offset_[tok + 1] = t.word_offset_[tok] +
                               t.automata_[tok].NumWords();
   }
-  t.session_pool_ = std::make_shared<SessionPool>();
   return t;
 }
 
@@ -48,9 +49,9 @@ size_t FunctionalTagger::TotalPositions() const {
 }
 
 void FunctionalTagger::Run(std::string_view input, const TagSink& sink) const {
-  SessionPool::Handle session = session_pool_->Acquire(this);
-  session->Feed(input, sink);
-  session->Finish(sink);
+  TaggerSession session(this);
+  session.Feed(input, sink);
+  session.Finish(sink);
 }
 
 std::vector<Tag> FunctionalTagger::TagAll(std::string_view input) const {
@@ -98,7 +99,7 @@ void TaggerSession::Reset() {
   armed_list_.clear();
   new_arm_list_.clear();
   candidate_reset_.clear();
-  if (tagger_->options_.EffectiveArmMode() != ArmMode::kScan) {
+  if (tagger_->options_.arm_mode != ArmMode::kScan) {
     for (int32_t t : tagger_->start_tokens_) {
       armed_[t] = 1;
       armed_list_.push_back(t);
@@ -122,7 +123,7 @@ void TaggerSession::AddCandidate(int32_t token) {
 void TaggerSession::ProcessByte(unsigned char c, bool has_next,
                                 unsigned char next_c, const TagSink& sink) {
   const TaggerOptions& options = tagger_->options_;
-  const ArmMode mode = options.EffectiveArmMode();
+  const ArmMode mode = options.arm_mode;
   const size_t num_tokens = tagger_->automata_.size();
   const bool delim = options.delimiters.Test(c);
 

@@ -1,7 +1,6 @@
 #ifndef CFGTAG_TAGGER_FUNCTIONAL_MODEL_H_
 #define CFGTAG_TAGGER_FUNCTIONAL_MODEL_H_
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -14,7 +13,6 @@
 namespace cfgtag::tagger {
 
 class FunctionalTagger;
-class SessionPool;
 
 // Incremental tagging over a byte stream delivered in chunks (e.g. network
 // packets). Holds the machine state between Feed() calls; offsets in
@@ -40,8 +38,8 @@ class TaggerSession {
 
   // Re-targets the session at `tagger` and resets it. When the new tagger
   // has the same buffer shape as the old one (always the case for a moved
-  // FunctionalTagger — the SessionPool's rebind-after-move path), no
-  // allocation happens; otherwise the buffers are resized.
+  // FunctionalTagger), no allocation happens; otherwise the buffers are
+  // resized.
   void Rebind(const FunctionalTagger* tagger);
 
   // Bytes fully processed so far (excludes the lagging byte).
@@ -82,13 +80,14 @@ class TaggerSession {
 
 // Bit-parallel software model of the generated hardware tagger. It executes
 // the same machine the netlist implements — one Glushkov position automaton
-// per token, arm registers wired through the terminal Follow sets — but as
-// word-level operations, so it is the fast path for tagging in software.
-// The cycle-accurate netlist simulation is cross-checked against this model
-// in the equivalence tests.
+// per token, arm registers wired through the terminal Follow sets — as
+// word-level operations over one token at a time. It is not on any serving
+// path: it is the independent reference the differential, equivalence and
+// unit tests hold the serving engine (core::CompiledTagger) against.
 class FunctionalTagger {
  public:
-  // The grammar must outlive the tagger.
+  // The grammar must outlive the tagger. Every table is built here, so a
+  // created tagger may be shared by threads, each with its own session.
   static StatusOr<FunctionalTagger> Create(const grammar::Grammar* grammar,
                                            const TaggerOptions& options);
 
@@ -101,12 +100,6 @@ class FunctionalTagger {
 
   // Streaming interface: feed the input in arbitrary chunks.
   TaggerSession NewSession() const { return TaggerSession(this); }
-
-  // The shared scratch pool behind Run(): callers that tag many messages
-  // (or do so from several threads) check sessions out of it instead of
-  // paying the eight-vector TaggerSession construction per call —
-  // `session_pool().Acquire(&tagger)` returns an RAII handle. Thread-safe.
-  SessionPool& session_pool() const { return *session_pool_; }
 
   const grammar::Grammar& grammar() const { return *grammar_; }
   const grammar::Analysis& analysis() const { return analysis_; }
@@ -130,9 +123,6 @@ class FunctionalTagger {
   std::vector<uint8_t> is_start_;  // indexed by token id
   // word_offset_[t] = first word of token t's state bitmap; back() = total.
   std::vector<size_t> word_offset_;
-  // Shared (internally synchronized) so copies of the tagger stay cheap
-  // and copyable; sessions rebind to whichever tagger acquires them.
-  std::shared_ptr<SessionPool> session_pool_;
 };
 
 }  // namespace cfgtag::tagger

@@ -169,7 +169,7 @@ class FusedTagger {
   // Streaming interface: feed the input in arbitrary chunks.
   FusedSession NewSession() const { return FusedSession(this); }
 
-  // Shared scratch pool behind Run(); see SessionPool. Thread-safe.
+  // Shared scratch pool behind Run(); see BasicSessionPool. Thread-safe.
   FusedSessionPool& session_pool() const { return *session_pool_; }
 
   const grammar::Grammar& grammar() const { return *grammar_; }

@@ -39,9 +39,11 @@ const DfaCacheMetrics& DfaCacheMetrics::Get() {
 // --------------------------------------------------------- LazyDfaTagger
 
 LazyDfaTagger::LazyDfaTagger(FusedTagger fused,
-                             std::shared_ptr<const AotDfaTable> aot)
+                             std::shared_ptr<const AotDfaTable> aot,
+                             bool cache)
     : fused_(std::move(fused)),
       aot_(std::move(aot)),
+      cache_(cache),
       session_pool_(std::make_shared<LazyDfaSessionPool>()) {}
 
 StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
@@ -52,8 +54,9 @@ StatusOr<LazyDfaTagger> LazyDfaTagger::Create(const grammar::Grammar* grammar,
 }
 
 LazyDfaTagger LazyDfaTagger::Wrap(FusedTagger fused,
-                                  std::shared_ptr<const AotDfaTable> aot) {
-  return LazyDfaTagger(std::move(fused), std::move(aot));
+                                  std::shared_ptr<const AotDfaTable> aot,
+                                  bool cache) {
+  return LazyDfaTagger(std::move(fused), std::move(aot), cache);
 }
 
 void LazyDfaTagger::Run(std::string_view input, const TagSink& sink) const {
@@ -92,7 +95,8 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
     aot_ = tagger_->aot();
     num_aot_ = aot_ ? static_cast<int32_t>(aot_->states.size()) : 0;
     flushes_ = 0;
-    fallback_ = false;
+    // A non-caching tagger's sessions start (and stay) on the fused path.
+    fallback_ = !tagger_->caches();
   }
   Reset();
 }
@@ -132,7 +136,7 @@ void LazyDfaSession::Reset() {
   const FusedTagger& f = tagger_->fused();
   tmp_state_.clear();
   tmp_armed_.clear();
-  if (f.options().EffectiveArmMode() != ArmMode::kScan) {
+  if (f.options().arm_mode != ArmMode::kScan) {
     tmp_armed_.assign(f.start_first_.begin(), f.start_first_.end());
     std::sort(tmp_armed_.begin(), tmp_armed_.end(),
               [](const WordBits& a, const WordBits& b) {
@@ -361,7 +365,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   const size_t n = chunk.size();
   const FusedTagger& f = tagger_->fused();
   const ByteClassifier& classes = f.classifier();
-  const ArmMode mode = f.options().EffectiveArmMode();
+  const ArmMode mode = f.options().arm_mode;
   const RunScanner& delim = f.delimiter_scanner();
   const RunScanner& arm = f.arm_scanner();
   const SkipMetrics& skips = SkipMetrics::Get();

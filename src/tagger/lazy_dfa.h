@@ -82,7 +82,8 @@ struct DfaCacheMetrics {
 // dropped wholesale and rebuilt from the current configuration (RE2's
 // flush discipline); after dfa_flush_fallback flushes the session stops
 // caching and runs its scratch FusedSession directly for the rest of its
-// life (Rebind to a different tagger clears the verdict).
+// life (Rebind to a different tagger clears the verdict). Sessions of a
+// tagger built with caching off run that way from the start.
 //
 // Tag streams are byte-identical, order included, to the functional and
 // fused engines — enforced by the differential and fuzz suites.
@@ -104,7 +105,8 @@ class LazyDfaSession {
   void Reset();
 
   // Re-targets the session at `tagger` and resets it. A different tagger
-  // invalidates the cache and clears any fallback verdict.
+  // invalidates the cache and resets the fallback verdict to
+  // !tagger->caches().
   void Rebind(const LazyDfaTagger* tagger);
 
   // Bytes fully processed so far (excludes the pending look-ahead byte).
@@ -200,7 +202,7 @@ class LazyDfaSession {
   uint64_t attr_dfa_misses_ = 0;
 };
 
-// The lazy-DFA backend: owns the fused engine it memoizes and hands out
+// The serving engine: owns the fused engine it memoizes and hands out
 // pooled LazyDfaSessions. See LazyDfaSession for the execution model.
 class LazyDfaTagger {
  public:
@@ -208,12 +210,13 @@ class LazyDfaTagger {
   static StatusOr<LazyDfaTagger> Create(const grammar::Grammar* grammar,
                                         const TaggerOptions& options);
 
-  // Wraps an already-built fused engine (the kAuto path compiles the
-  // fused tables once, then decides which backend fronts them). With a
-  // non-null `aot`, sessions start warm out of the baked transition table
-  // (the artifact load path).
+  // Wraps an already-built fused engine. With a non-null `aot`, sessions
+  // start warm out of the baked transition table (the artifact load path).
+  // With `cache` false, sessions never build a transition cache and step
+  // the fused engine directly from the start.
   static LazyDfaTagger Wrap(FusedTagger fused,
-                            std::shared_ptr<const AotDfaTable> aot = nullptr);
+                            std::shared_ptr<const AotDfaTable> aot = nullptr,
+                            bool cache = true);
 
   // Scans `input`, calling `sink` for every detected token in stream
   // order (token-id order within a byte).
@@ -225,7 +228,7 @@ class LazyDfaTagger {
   // Streaming interface: feed the input in arbitrary chunks.
   LazyDfaSession NewSession() const { return LazyDfaSession(this); }
 
-  // Shared scratch pool behind Run(); see SessionPool. Thread-safe.
+  // Shared scratch pool behind Run(); see BasicSessionPool. Thread-safe.
   LazyDfaSessionPool& session_pool() const { return *session_pool_; }
 
   const FusedTagger& fused() const { return fused_; }
@@ -235,11 +238,14 @@ class LazyDfaTagger {
   // The baked AOT transition table, or null when compiled in-process.
   const AotDfaTable* aot() const { return aot_.get(); }
 
-  // The `--backend auto` heuristic: prefer the lazy DFA when the
-  // byte-class x state-word product is small enough that the reachable
-  // configuration set plausibly fits the transition cache; wide grammars
-  // keep the fused engine, whose cost is already proportional to live
-  // words.
+  // Whether sessions memoize fused steps as DFA transitions (see Wrap).
+  bool caches() const { return cache_; }
+
+  // The caching rule CompiledTagger applies to a fresh compile: cache
+  // when the byte-class x state-word product is small enough that the
+  // reachable configuration set plausibly fits the transition cache; wide
+  // grammars step the fused engine, whose cost is already proportional to
+  // live words.
   static constexpr size_t kAutoProductLimit = 8192;
   static bool AutoPrefers(const FusedTagger& fused) {
     return static_cast<size_t>(fused.NumByteClasses()) *
@@ -248,10 +254,12 @@ class LazyDfaTagger {
   }
 
  private:
-  LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot);
+  LazyDfaTagger(FusedTagger fused, std::shared_ptr<const AotDfaTable> aot,
+                bool cache);
 
   FusedTagger fused_;
   std::shared_ptr<const AotDfaTable> aot_;
+  bool cache_;
   std::shared_ptr<LazyDfaSessionPool> session_pool_;
 };
 

@@ -18,6 +18,7 @@ StatusOr<PredictiveParser> PredictiveParser::Create(
   p.analysis_ = std::move(analysis);
   for (const grammar::TokenDef& def : grammar->tokens()) {
     p.automata_.push_back(regex::PositionAutomaton::Build(*def.regex));
+    p.automata_.back().BuildStepTables();
   }
 
   // Build the LL(1) table: for production X -> alpha, every token in

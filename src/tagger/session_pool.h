@@ -11,17 +11,16 @@
 #include "core/resilience/budget.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "tagger/functional_model.h"
 
 namespace cfgtag::tagger {
 
 // Thread-safe pool of reusable tagging-session scratch state, generic over
-// the (tagger, session) pair — SessionPool pools TaggerSessions for the
-// functional backend, FusedSessionPool pools FusedSessions for the fused
-// backend. A session owns several vectors sized to the tagger; allocating
-// them per scan dominates the cost of tagging short messages, so the hot
-// paths (FunctionalTagger::Run, FusedTagger::Run, core::CompiledTagger::
-// Tag, the nids scan engine workers) check sessions out of a pool instead.
+// the (tagger, session) pair — FusedSessionPool pools FusedSessions,
+// LazyDfaSessionPool pools LazyDfaSessions. A session owns several vectors
+// sized to the tagger; allocating them per scan dominates the cost of
+// tagging short messages, so the hot paths (FusedTagger::Run,
+// LazyDfaTagger::Run, core::CompiledTagger::Tag and through it the nids
+// scan engine workers) check sessions out of a pool instead.
 // Checked-in sessions keep their buffers; Acquire() rebinds and resets
 // them, so a returned session carries no state into its next use —
 // early-stopped and half-fed sessions are safe to return as-is.
@@ -236,12 +235,6 @@ class BasicSessionPool {
   std::atomic<uint64_t> reused_{0};
   std::atomic<uint64_t> dropped_{0};
 };
-
-// The functional backend's pool (the original SessionPool name — call
-// sites and the FunctionalTagger forward declaration predate the
-// template).
-class SessionPool final
-    : public BasicSessionPool<FunctionalTagger, TaggerSession> {};
 
 }  // namespace cfgtag::tagger
 

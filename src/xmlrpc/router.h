@@ -28,7 +28,7 @@ class XmlRpcRouter {
  public:
   static StatusOr<XmlRpcRouter> Create(const RouterConfig& config);
 
-  // Routes one message using the fast functional model.
+  // Routes one message using the software tagging engine.
   int Route(std::string_view message) const;
 
   // Routes via the cycle-accurate netlist simulation — the match wire of

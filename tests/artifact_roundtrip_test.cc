@@ -1,10 +1,11 @@
 // Round-trip and robustness tests for the compiled-tagger artifact layer:
 // serialize → Deserialize / LoadArtifact must reproduce the compiling
-// tagger tag-for-tag for every flat-table backend; the compile cache must
-// hit on content-equal (even reordered) grammars; loaded taggers must
-// reject the netlist-backed methods; and the hardened loader must turn
-// malformed bytes into typed errors — never a crash, and never a tagger
-// that silently diverges (the corrupt-artifact fuzz at the bottom).
+// tagger tag-for-tag for both artifact shapes (fused, lazy-DFA); the
+// compile cache must hit on content-equal (even reordered) grammars;
+// loaded taggers must reject the netlist-backed methods; and the
+// hardened loader must turn malformed bytes into typed errors — never a
+// crash, and never a tagger that silently diverges (the corrupt-artifact
+// fuzz at the bottom).
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -23,6 +24,7 @@
 #include "grammar/grammar.h"
 #include "tagger/artifact/cache.h"
 #include "tagger/artifact/format.h"
+#include "tagger/artifact/writer.h"
 #include "tagger/tag.h"
 
 namespace cfgtag {
@@ -32,7 +34,6 @@ using core::CompiledTagger;
 using grammar::Grammar;
 using grammar::Symbol;
 using tagger::Tag;
-using tagger::TaggerBackend;
 
 // The Fig. 14 expression-flavored fixture: two class tokens, one literal,
 // a recursive start rule.
@@ -68,6 +69,22 @@ Grammar ReorderedFixtureGrammar() {
   return g;
 }
 
+// Past LazyDfaTagger::AutoPrefers' limit: 320 two-letter literal tokens
+// (one state word each) over 37 byte classes, so Compile serves it with an
+// uncached engine.
+Grammar WideGrammar() {
+  static const char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+  Grammar g;
+  const int32_t s = g.AddNonterminal("s");
+  for (int k = 0; k < 320; ++k) {
+    const int32_t t =
+        *g.AddLiteralToken(std::string{kAlphabet[k % 36], kAlphabet[k / 36]});
+    g.AddProduction(s, {Symbol::Terminal(t)});
+  }
+  g.SetStart(s);
+  return g;
+}
+
 const char* const kInputs[] = {
     "hello 123 world",
     "begin 42 end",
@@ -97,23 +114,30 @@ void ExpectSameTags(const CompiledTagger& want, const CompiledTagger& got) {
   }
 }
 
-hwgen::HwOptions Options(TaggerBackend backend, uint32_t aot_budget = 4096) {
+hwgen::HwOptions Options(uint32_t aot_budget = 4096) {
   hwgen::HwOptions options;
-  options.tagger.backend = backend;
   options.tagger.aot_state_budget = aot_budget;
   return options;
 }
 
+// The fused artifact shape, written straight from a compiled tagger's
+// tables (Serialize() only picks it for uncached engines without AOT).
+std::string FusedArtifact(const CompiledTagger& t) {
+  tagger::artifact::SerializeRequest req;
+  req.backend = tagger::artifact::kArtifactFused;
+  auto bytes = tagger::artifact::SerializeTagger(t.engine().fused(), req);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
+
 TEST(ArtifactRoundTripTest, FusedBackendRoundTrips) {
-  auto direct =
-      CompiledTagger::Compile(FixtureGrammar(), Options(TaggerBackend::kFused));
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok()) << direct.status();
-  auto bytes = direct->Serialize();
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto loaded = CompiledTagger::Deserialize(*bytes);
+  auto loaded = CompiledTagger::Deserialize(FusedArtifact(*direct));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->backend(), TaggerBackend::kFused);
-  EXPECT_NE(loaded->fused_model(), nullptr);
+  // A fused artifact loads as an engine that steps the fused tables.
+  EXPECT_FALSE(loaded->engine().caches());
+  EXPECT_EQ(loaded->engine().aot(), nullptr);
   EXPECT_FALSE(loaded->has_hardware());
   ExpectSameTags(*direct, *loaded);
   // The rebuilt grammar keeps the original token numbering and names.
@@ -125,24 +149,22 @@ TEST(ArtifactRoundTripTest, FusedBackendRoundTrips) {
 
 TEST(ArtifactRoundTripTest, LazyBackendRoundTripsWithAndWithoutAot) {
   for (uint32_t budget : {uint32_t{4096}, uint32_t{0}}) {
-    auto direct = CompiledTagger::Compile(
-        FixtureGrammar(), Options(TaggerBackend::kLazyDfa, budget));
+    auto direct = CompiledTagger::Compile(FixtureGrammar(), Options(budget));
     ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_TRUE(direct->engine().caches());
     auto bytes = direct->Serialize();
     ASSERT_TRUE(bytes.ok()) << bytes.status();
     auto loaded = CompiledTagger::Deserialize(*bytes);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->backend(), TaggerBackend::kLazyDfa);
-    ASSERT_NE(loaded->lazy_model(), nullptr);
+    EXPECT_TRUE(loaded->engine().caches());
+    EXPECT_EQ(loaded->engine().aot() != nullptr, budget > 0);
     ExpectSameTags(*direct, *loaded);
   }
 }
 
 TEST(ArtifactRoundTripTest, SerializeIsDeterministic) {
-  auto a = CompiledTagger::Compile(FixtureGrammar(),
-                                   Options(TaggerBackend::kLazyDfa));
-  auto b = CompiledTagger::Compile(FixtureGrammar(),
-                                   Options(TaggerBackend::kLazyDfa));
+  auto a = CompiledTagger::Compile(FixtureGrammar(), Options());
+  auto b = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(a.ok() && b.ok());
   auto ba = a->Serialize();
   auto bb = b->Serialize();
@@ -150,18 +172,26 @@ TEST(ArtifactRoundTripTest, SerializeIsDeterministic) {
   EXPECT_EQ(*ba, *bb);
 }
 
-TEST(ArtifactRoundTripTest, FunctionalBackendDoesNotSerialize) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kFunctional));
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  auto bytes = direct->Serialize();
-  ASSERT_FALSE(bytes.ok());
-  EXPECT_EQ(bytes.status().code(), StatusCode::kFailedPrecondition);
+// An uncached engine serializes to the fused shape unless AOT is on; with
+// AOT it writes the lazy shape, and the baked table makes the loaded
+// engine cache.
+TEST(ArtifactRoundTripTest, SerializeShapeFollowsCachingAndAot) {
+  for (uint32_t budget : {uint32_t{0}, uint32_t{64}}) {
+    auto direct = CompiledTagger::Compile(WideGrammar(), Options(budget));
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_FALSE(direct->engine().caches());
+    auto bytes = direct->Serialize();
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto loaded = CompiledTagger::Deserialize(*bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->engine().caches(), budget > 0);
+    EXPECT_EQ(loaded->engine().aot() != nullptr, budget > 0);
+    ExpectSameTags(*direct, *loaded);
+  }
 }
 
 TEST(ArtifactRoundTripTest, LoadArtifactMmapsFromDisk) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kLazyDfa));
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok()) << direct.status();
   auto bytes = direct->Serialize();
   ASSERT_TRUE(bytes.ok()) << bytes.status();
@@ -177,14 +207,15 @@ TEST(ArtifactRoundTripTest, LoadArtifactMmapsFromDisk) {
 }
 
 TEST(ArtifactRoundTripTest, LoadedTaggerRejectsHardwareMethods) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(),
-                                        Options(TaggerBackend::kFused));
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   ASSERT_TRUE(direct.ok());
   auto bytes = direct->Serialize();
   ASSERT_TRUE(bytes.ok());
   auto loaded = CompiledTagger::Deserialize(*bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
+  EXPECT_EQ(loaded->hardware().status().code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_EQ(loaded->TagCycleAccurate("x").status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(loaded->TagViaIndexBus("x").status().code(),
@@ -201,18 +232,19 @@ TEST(ArtifactRoundTripTest, CompileCachedMissesThenHits) {
   const std::string dir = TempPath("cache");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
 
-  hwgen::HwOptions options = Options(TaggerBackend::kAuto);
+  hwgen::HwOptions options = Options();
   auto miss = CompiledTagger::CompileCached(FixtureGrammar(), options, dir);
   ASSERT_TRUE(miss.ok()) << miss.status();
   // A miss compiles for real: the hardware side exists.
   EXPECT_TRUE(miss->has_hardware());
-  // kAuto with AOT enabled resolves to the lazy DFA so the baked table is
-  // actually used on later cold starts.
-  EXPECT_EQ(miss->backend(), TaggerBackend::kLazyDfa);
 
   auto hit = CompiledTagger::CompileCached(FixtureGrammar(), options, dir);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_FALSE(hit->has_hardware());
+  // With AOT enabled the stored artifact carries the baked table, so
+  // cached cold starts run out of it.
+  EXPECT_TRUE(hit->engine().caches());
+  EXPECT_NE(hit->engine().aot(), nullptr);
   ExpectSameTags(*miss, *hit);
 
   // Content-equal but textually reordered grammar: same cache entry.
@@ -238,8 +270,8 @@ TEST(ArtifactRoundTripTest, CompileCachedMissesThenHits) {
 
 // --- Hardened loader: malformed bytes become typed errors. ---------------
 
-std::string ValidArtifact(TaggerBackend backend = TaggerBackend::kLazyDfa) {
-  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options(backend));
+std::string ValidArtifact() {
+  auto direct = CompiledTagger::Compile(FixtureGrammar(), Options());
   EXPECT_TRUE(direct.ok());
   auto bytes = direct->Serialize();
   EXPECT_TRUE(bytes.ok());

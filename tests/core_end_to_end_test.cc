@@ -1,13 +1,19 @@
 // End-to-end tests: grammar text -> generated hardware -> tags, with the
-// three engines (functional model, cycle-accurate netlist, LL reference
-// parser) cross-checked on the paper's own examples.
+// serving engine, the cycle-accurate netlist and the LL reference parser
+// cross-checked on the paper's own examples; plus the CompiledTagger
+// contract that the netlist is generated only on demand, once, from any
+// thread.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "core/token_tagger.h"
 #include "grammar/grammar_parser.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "tagger/functional_model.h"
 #include "tagger/ll_parser.h"
 #include "xmlrpc/message_gen.h"
 #include "xmlrpc/router.h"
@@ -196,6 +202,83 @@ TEST(RouterTest, AdversarialPayloadDoesNotMisroute) {
       "<param><string>please buy everything</string></param>"
       "</params></methodCall>";
   EXPECT_EQ(router->Route(msg), 1);
+}
+
+// --- On-demand hardware generation ---------------------------------------
+
+bool TraceHasSpan(const std::string& name) {
+  for (const obs::SpanRecord& r : obs::Tracer::Default().Snapshot()) {
+    if (r.name == name) return true;
+  }
+  return false;
+}
+
+TEST(CompiledTaggerContractTest, CompileAndTagBuildNoNetlistOrFunctionalModel) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  obs::Tracer::Default().Clear();
+  auto compiled = CompiledTagger::Compile(std::move(g).value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->Tag("if true then go else stop").size(), 6u);
+  // TaggerGenerator::Generate traces hwgen.GenerateLanes and
+  // FunctionalTagger::Create traces tagger.CreateFunctionalModel.
+  EXPECT_TRUE(TraceHasSpan("core.Compile"));
+  EXPECT_FALSE(TraceHasSpan("hwgen.GenerateLanes"));
+  EXPECT_FALSE(TraceHasSpan("tagger.CreateFunctionalModel"));
+
+  // Positive controls: the same trace sees both once they do run.
+  ASSERT_TRUE(compiled->ExportVhdl("ite").ok());
+  EXPECT_TRUE(TraceHasSpan("hwgen.GenerateLanes"));
+  ASSERT_TRUE(tagger::FunctionalTagger::Create(&compiled->grammar(),
+                                               compiled->options().tagger)
+                  .ok());
+  EXPECT_TRUE(TraceHasSpan("tagger.CreateFunctionalModel"));
+}
+
+TEST(CompiledTaggerContractTest, ConcurrentFirstExportVhdlIsIdentical) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto reference = CompiledTagger::Compile(g->Clone());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const auto want = reference->ExportVhdl("ite");
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  auto fresh = CompiledTagger::Compile(std::move(g).value());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const obs::Histogram* hwgen = obs::MetricsRegistry::Default().GetHistogram(
+      "cfgtag_compile_stage_seconds{stage=\"hwgen\"}");
+  const uint64_t generated_before = hwgen->TotalCount();
+  constexpr int kThreads = 4;
+  std::vector<std::string> vhdl(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      auto v = fresh->ExportVhdl("ite");
+      if (v.ok()) vhdl[i] = std::move(v).value();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(vhdl[i], *want) << "thread " << i;
+  }
+  // One netlist, built by whichever thread got there first.
+  EXPECT_EQ(hwgen->TotalCount(), generated_before + 1);
+}
+
+TEST(CompiledTaggerContractTest, HwgenErrorsSurfaceOnlyInHardwareCalls) {
+  auto g = ParseGrammar(kIfThenElse);
+  ASSERT_TRUE(g.ok()) << g.status();
+  hwgen::HwOptions options;
+  options.bytes_per_cycle = 3;  // the generator supports 1, 2 and 4
+  auto compiled = CompiledTagger::Compile(std::move(g).value(), options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->Tag("if true then go else stop").size(), 6u);
+  EXPECT_EQ(compiled->ExportVhdl("ite").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(compiled->hardware().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(compiled->TagCycleAccurate("go").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

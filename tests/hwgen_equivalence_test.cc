@@ -1,7 +1,8 @@
 // Property tests: on randomly generated grammars and inputs, the three
 // engines must relate as the paper claims —
-//   * the cycle-accurate netlist is bit-identical to the functional model
-//     (they implement the same machine), under every option combination;
+//   * the cycle-accurate netlist is bit-identical to the serving software
+//     engine, CompiledTagger::Tag (they implement the same machine), under
+//     every option combination;
 //   * on inputs accepted by the true (LL) parser, the hardware tag stream
 //     is a superset of the parser's tag stream (§3.1 FSA collapse).
 
@@ -122,8 +123,15 @@ std::string RandomSentence(const Grammar& g, Rng& rng) {
 struct EquivCase {
   uint64_t seed;
   bool longest_match;
-  bool anchored;
+  tagger::ArmMode arm_mode;
 };
+
+// Readable, deterministic parameter names (the default prints the raw
+// bytes, padding included).
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_lm" << c.longest_match << "_mode"
+      << static_cast<int>(c.arm_mode);
+}
 
 class EquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
@@ -135,7 +143,7 @@ TEST_P(EquivalenceTest, NetlistMatchesFunctionalModel) {
 
   hwgen::HwOptions opt;
   opt.tagger.longest_match = c.longest_match;
-  opt.tagger.anchored = c.anchored;
+  opt.tagger.arm_mode = c.arm_mode;
   Grammar g_input = g.Clone();
   auto compiled = CompiledTagger::Compile(std::move(g_input), opt);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
@@ -149,13 +157,16 @@ TEST_P(EquivalenceTest, NetlistMatchesFunctionalModel) {
     ASSERT_TRUE(hw.ok()) << hw.status();
     EXPECT_EQ(compiled->Tag(input), *hw)
         << "seed=" << c.seed << " lm=" << c.longest_match
-        << " anchored=" << c.anchored << " input='" << input << "'";
+        << " arm_mode=" << static_cast<int>(c.arm_mode) << " input='"
+        << input << "'";
   }
 }
 
 TEST_P(EquivalenceTest, HardwareTagsSupersetOfLlParser) {
   const EquivCase c = GetParam();
-  if (!c.anchored) GTEST_SKIP() << "LL comparison only in parse mode";
+  if (c.arm_mode != tagger::ArmMode::kAnchored) {
+    GTEST_SKIP() << "LL comparison only in parse mode";
+  }
   Rng rng(c.seed * 7 + 3);
   Grammar g = RandomGrammar(rng);
   ASSERT_TRUE(g.Validate().ok());
@@ -185,9 +196,9 @@ TEST_P(EquivalenceTest, HardwareTagsSupersetOfLlParser) {
 std::vector<EquivCase> MakeCases() {
   std::vector<EquivCase> cases;
   for (uint64_t seed = 0; seed < 12; ++seed) {
-    cases.push_back({seed, true, true});
-    cases.push_back({seed, false, true});
-    cases.push_back({seed, true, false});
+    cases.push_back({seed, true, tagger::ArmMode::kAnchored});
+    cases.push_back({seed, false, tagger::ArmMode::kAnchored});
+    cases.push_back({seed, true, tagger::ArmMode::kScan});
   }
   return cases;
 }

@@ -195,7 +195,9 @@ TEST(RegistryTest, EmptyRegistryExportsCleanly) {
 }
 
 // End-to-end: compiling a grammar populates the default registry with the
-// compile-stage metrics every later perf PR will diff.
+// compile-stage metrics every later perf PR will diff. The netlist metrics
+// (the hwgen stage and the gate/register/pattern-byte gauges) appear only
+// once a hardware call builds the netlist: Compile + Tag never runs hwgen.
 TEST(InstrumentationTest, CompilePopulatesDefaultRegistry) {
   auto grammar = grammar::ParseGrammar(R"grm(
 %%
@@ -203,26 +205,33 @@ greeting: "hello" | "bye";
 %%
 )grm");
   ASSERT_TRUE(grammar.ok()) << grammar.status();
-  const uint64_t before =
-      MetricsRegistry::Default().GetCounter("cfgtag_compile_total")->Value();
+  MetricsRegistry& reg = MetricsRegistry::Default();
+  const Histogram* hwgen =
+      reg.GetHistogram("cfgtag_compile_stage_seconds{stage=\"hwgen\"}");
+  const uint64_t hwgen_before = hwgen->TotalCount();
+  const uint64_t before = reg.GetCounter("cfgtag_compile_total")->Value();
   auto tagger = core::CompiledTagger::Compile(std::move(grammar).value());
   ASSERT_TRUE(tagger.ok()) << tagger.status();
-  EXPECT_EQ(
-      MetricsRegistry::Default().GetCounter("cfgtag_compile_total")->Value(),
-      before + 1);
-  EXPECT_GT(
-      MetricsRegistry::Default().GetGauge("cfgtag_compile_gates")->Value(),
-      0.0);
+  EXPECT_EQ(reg.GetCounter("cfgtag_compile_total")->Value(), before + 1);
 
   const uint64_t bytes_before =
-      MetricsRegistry::Default().GetCounter("cfgtag_tag_bytes_total")->Value();
+      reg.GetCounter("cfgtag_tag_bytes_total")->Value();
   (void)tagger->Tag("hello bye");
-  EXPECT_EQ(MetricsRegistry::Default()
-                .GetCounter("cfgtag_tag_bytes_total")
-                ->Value(),
+  EXPECT_EQ(reg.GetCounter("cfgtag_tag_bytes_total")->Value(),
             bytes_before + 9);
+  EXPECT_EQ(hwgen->TotalCount(), hwgen_before);
 
-  const std::string text = MetricsRegistry::Default().ExpositionText();
+  reg.GetGauge("cfgtag_compile_gates")->Set(0);
+  ASSERT_TRUE(tagger->ExportVhdl("greeting").ok());
+  EXPECT_EQ(hwgen->TotalCount(), hwgen_before + 1);
+  EXPECT_GT(reg.GetGauge("cfgtag_compile_gates")->Value(), 0.0);
+  EXPECT_GT(reg.GetGauge("cfgtag_compile_regs")->Value(), 0.0);
+  EXPECT_GT(reg.GetGauge("cfgtag_compile_pattern_bytes")->Value(), 0.0);
+  // The netlist is built once per tagger.
+  ASSERT_TRUE(tagger->ExportVhdl("greeting").ok());
+  EXPECT_EQ(hwgen->TotalCount(), hwgen_before + 1);
+
+  const std::string text = reg.ExpositionText();
   EXPECT_NE(text.find("cfgtag_compile_stage_seconds_bucket{stage=\"hwgen\""),
             std::string::npos);
   EXPECT_NE(text.find("cfgtag_compile_seconds_count"), std::string::npos);

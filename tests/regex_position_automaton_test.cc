@@ -13,7 +13,9 @@ namespace {
 PositionAutomaton Build(const std::string& pattern) {
   auto re = ParseRegex(pattern);
   EXPECT_TRUE(re.ok()) << pattern;
-  return PositionAutomaton::Build(**re);
+  PositionAutomaton pa = PositionAutomaton::Build(**re);
+  pa.BuildStepTables();
+  return pa;
 }
 
 // Runs the position automaton over `s` with injection only at step 0 and
@@ -157,6 +159,7 @@ TEST_P(PaVsNfaTest, LongestPrefixAgrees) {
   ASSERT_TRUE(re.ok()) << pattern;
   Nfa nfa = Nfa::Build(**re);
   PositionAutomaton pa = PositionAutomaton::Build(**re);
+  pa.BuildStepTables();
   EXPECT_EQ(pa.nullable, (*re)->Nullable());
   for (int i = 0; i < 40; ++i) {
     const std::string s = rng.NextString(rng.NextIndex(7), "abc");

@@ -406,14 +406,14 @@ TEST_F(ResilienceTest, ScopedChargeReleasesOnDestruction) {
 }
 
 TEST_F(ResilienceTest, BudgetPressureShedsLazyDfa) {
-  // A tiny budget forces kShedDfa before the lazy backend interns much;
+  // A tiny budget forces kShedDfa before the caching engine interns much;
   // the scan must still produce correct tags via the fused fallback.
   auto& budget = res::ResourceBudget::Process();
   hwgen::HwOptions opt;
   opt.tagger.arm_mode = tagger::ArmMode::kResync;
-  opt.tagger.backend = tagger::TaggerBackend::kLazyDfa;
   auto t = core::CompiledTagger::Compile(Protocol(), opt);
   ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_TRUE(t->engine().caches());
   const std::string input = Traffic(50);
   const std::vector<tagger::Tag> expected = t->Tag(input);
 
@@ -438,7 +438,6 @@ class ArtifactFixture : public ResilienceTest {
     path_ = ::testing::TempDir() + "/resilience_artifact.cfgtag";
     hwgen::HwOptions opt;
     opt.tagger.arm_mode = tagger::ArmMode::kResync;
-    opt.tagger.backend = tagger::TaggerBackend::kFused;
     auto t = core::CompiledTagger::Compile(Protocol(), opt);
     ASSERT_TRUE(t.ok()) << t.status();
     auto bytes = t->Serialize();

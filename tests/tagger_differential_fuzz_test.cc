@@ -1,11 +1,12 @@
 // Differential fuzzing across the tagging engines: on randomly generated
-// small grammars and random byte streams, the fused and lazy-DFA backends
+// small grammars and random byte streams, the fused and lazy-DFA engines
 // must be tag-for-tag identical to the functional reference — for every
 // arm mode, with and without the longest-match look-ahead, chunked or
 // whole-buffer, under both scalar and vectorized SIMD dispatch, and for
 // the lazy DFA also under a starvation-sized transition cache (constant
 // flushing, then the fused fallback) — and CompiledTagger::Tag must agree
-// with itself across backends. The artifact leg closes the loop through
+// with the functional reference on grammars on both sides of
+// LazyDfaTagger::AutoPrefers. The artifact leg closes the loop through
 // the serializer: serialize → Deserialize → tag must be byte-identical to
 // the compiler that produced the artifact, whole-buffer and chunked.
 
@@ -19,6 +20,8 @@
 #include "grammar/grammar.h"
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
+#include "tagger/artifact/format.h"
+#include "tagger/artifact/writer.h"
 #include "tagger/lazy_dfa.h"
 #include "tagger/simd/dispatch.h"
 
@@ -85,6 +88,29 @@ Grammar RandomGrammar(Rng& rng) {
       }
       g.AddProduction(nts[i], std::move(rhs));
     }
+  }
+  g.SetStart(nts[0]);
+  return g;
+}
+
+// A grammar past LazyDfaTagger::AutoPrefers' limit: 320 literal tokens,
+// one state word each, over ~37 byte classes, so the class x word product
+// exceeds kAutoProductLimit and CompiledTagger serves it uncached.
+Grammar WideGrammar(Rng& rng) {
+  Grammar g;
+  constexpr int kNts = 4;
+  std::vector<int32_t> nts;
+  for (int i = 0; i < kNts; ++i) {
+    nts.push_back(g.AddNonterminal("w" + std::to_string(i)));
+  }
+  for (int k = 0; g.NumTokens() < 320; ++k) {
+    auto t = g.AddLiteralToken(rng.NextString(
+        3 + rng.NextIndex(4), "abcdefghijklmnopqrstuvwxyz0123456789"));
+    if (!t.ok()) continue;
+    const int nt = k % kNts;
+    std::vector<Symbol> rhs = {Symbol::Terminal(*t)};
+    if (nt + 1 < kNts) rhs.push_back(Symbol::Nonterminal(nts[nt + 1]));
+    g.AddProduction(nts[nt], std::move(rhs));
   }
   g.SetStart(nts[0]);
   return g;
@@ -212,78 +238,90 @@ TEST(DifferentialFuzzTest, FusedMatchesFunctionalEverywhere) {
   }
 }
 
+// The fused artifact shape: what Serialize() writes for an uncached
+// engine with AOT disabled. Random grammars are narrow (their engines
+// cache), so the fused shape is written directly from the tables.
+StatusOr<std::string> FusedArtifact(const core::CompiledTagger& t) {
+  tagger::artifact::SerializeRequest req;
+  req.backend = tagger::artifact::kArtifactFused;
+  return tagger::artifact::SerializeTagger(t.engine().fused(), req);
+}
+
 // serialize → Deserialize → tag: a tagger rebuilt from its own artifact
 // bytes must be tag-for-tag identical to the tagger that wrote them, for
-// both flat-table backends, with and without an AOT table, whole-buffer
-// and chunked through the loaded engine's sessions.
+// both artifact shapes (fused, lazy-DFA), with and without an AOT table,
+// whole-buffer and chunked through the loaded engine's sessions.
 TEST(DifferentialFuzzTest, ArtifactRoundTripMatchesDirectCompile) {
   Rng rng(20260809);
   const ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
                             ArmMode::kResync};
-  const tagger::TaggerBackend kBackends[] = {tagger::TaggerBackend::kFused,
-                                             tagger::TaggerBackend::kLazyDfa};
   for (int iter = 0; iter < 16; ++iter) {
     Grammar g = RandomGrammar(rng);
     hwgen::HwOptions options;
     options.tagger.arm_mode = kModes[iter % 3];
     options.tagger.longest_match = (iter % 2) == 0;
-    options.tagger.backend = kBackends[iter % 2];
-    // Odd iterations strip the AOT table so both artifact shapes (baked
-    // DFA present / absent) go through the loader.
+    // Even iterations write the fused shape; iterations 1 mod 4 strip the
+    // AOT table so both lazy shapes (baked DFA present / absent) go
+    // through the loader too.
+    const bool fused_shape = iter % 2 == 0;
     if (iter % 4 == 1) options.tagger.aot_state_budget = 0;
     auto direct = core::CompiledTagger::Compile(g.Clone(), options);
     ASSERT_TRUE(direct.ok()) << direct.status();
-    auto bytes = direct->Serialize();
+    auto bytes = fused_shape ? FusedArtifact(*direct) : direct->Serialize();
     ASSERT_TRUE(bytes.ok()) << bytes.status();
     auto loaded = core::CompiledTagger::Deserialize(*bytes);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_FALSE(loaded->has_hardware());
-    EXPECT_EQ(loaded->backend(), options.tagger.backend);
+    EXPECT_EQ(loaded->engine().caches(), !fused_shape);
     for (int s = 0; s < 6; ++s) {
       const std::string input = RandomStream(direct->grammar(), rng);
       const std::vector<Tag> want = direct->Tag(input);
       ExpectSameTags(want, loaded->Tag(input), "artifact whole-buffer",
                      input);
       const size_t chunk = 1 + rng.NextIndex(7);
-      if (loaded->lazy_model() != nullptr) {
-        ExpectSameTags(want, Chunked(*loaded->lazy_model(), input, chunk),
-                       "artifact lazy chunk=" + std::to_string(chunk), input);
-      } else {
-        ASSERT_NE(loaded->fused_model(), nullptr);
-        ExpectSameTags(want, Chunked(*loaded->fused_model(), input, chunk),
-                       "artifact fused chunk=" + std::to_string(chunk),
-                       input);
-      }
+      ExpectSameTags(want, Chunked(loaded->engine(), input, chunk),
+                     "artifact chunk=" + std::to_string(chunk), input);
     }
   }
 }
 
-TEST(DifferentialFuzzTest, CompiledTaggerBackendsAgree) {
+// What CompiledTagger::Tag must return, computed by the functional
+// reference: the input plus the flush padding, tags inside the scanned
+// range.
+std::vector<Tag> OracleTags(const FunctionalTagger& oracle,
+                            std::string_view input) {
+  const size_t scan_end = input.size() + core::CompiledTagger::kFlushPadding;
+  std::string padded(input);
+  padded.append(core::CompiledTagger::kFlushPadding + 1,
+                core::CompiledTagger::kFlushByte);
+  std::vector<Tag> tags;
+  for (const Tag& t : oracle.TagAll(padded)) {
+    if (t.end < scan_end) tags.push_back(t);
+  }
+  return tags;
+}
+
+// CompiledTagger::Tag against the functional reference, on narrow random
+// grammars (the engine caches transitions) and on wide ones (it steps the
+// fused tables).
+TEST(DifferentialFuzzTest, CompiledTaggerMatchesFunctionalOracle) {
   Rng rng(424242);
   for (int iter = 0; iter < 12; ++iter) {
-    Grammar g = RandomGrammar(rng);
-    Grammar g2 = g.Clone();
-    Grammar g3 = g.Clone();
+    const bool wide = iter % 4 == 3;
     hwgen::HwOptions options;
     options.tagger.arm_mode = ArmMode::kResync;
-    auto functional = core::CompiledTagger::Compile(std::move(g), options);
-    options.tagger.backend = tagger::TaggerBackend::kFused;
-    auto fused = core::CompiledTagger::Compile(std::move(g2), options);
-    options.tagger.backend = tagger::TaggerBackend::kLazyDfa;
-    auto lazy = core::CompiledTagger::Compile(std::move(g3), options);
-    ASSERT_TRUE(functional.ok()) << functional.status();
-    ASSERT_TRUE(fused.ok()) << fused.status();
-    ASSERT_TRUE(lazy.ok()) << lazy.status();
-    ASSERT_NE(fused->fused_model(), nullptr);
-    ASSERT_EQ(functional->fused_model(), nullptr);
-    ASSERT_NE(lazy->lazy_model(), nullptr);
-    ASSERT_EQ(lazy->fused_model(), nullptr);
+    auto compiled = core::CompiledTagger::Compile(
+        wide ? WideGrammar(rng) : RandomGrammar(rng), options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    EXPECT_EQ(compiled->engine().caches(), !wide);
+    auto oracle =
+        FunctionalTagger::Create(&compiled->grammar(), options.tagger);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
     for (int s = 0; s < 6; ++s) {
-      const std::string input = RandomStream(functional->grammar(), rng);
-      const std::vector<Tag> want = functional->Tag(input);
-      ExpectSameTags(want, fused->Tag(input), "CompiledTagger fused backend",
-                     input);
-      ExpectSameTags(want, lazy->Tag(input), "CompiledTagger lazy backend",
+      const std::string input = RandomStream(compiled->grammar(), rng);
+      ExpectSameTags(OracleTags(*oracle, input), compiled->Tag(input),
+                     wide ? "CompiledTagger (uncached engine)"
+                          : "CompiledTagger (caching engine)",
                      input);
     }
   }

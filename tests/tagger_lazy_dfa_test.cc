@@ -266,7 +266,8 @@ TEST(LazyDfaTaggerTest, AutoHeuristicPrefersLazyForSmallGrammars) {
   auto fused = FusedTagger::Create(&g, {});
   ASSERT_TRUE(fused.ok());
   // A handful of byte classes over a few state words is far under the
-  // product limit — exactly the shape `--backend auto` routes to the DFA.
+  // product limit — exactly the shape CompiledTagger serves with a
+  // caching engine.
   EXPECT_TRUE(LazyDfaTagger::AutoPrefers(*fused));
   EXPECT_LE(static_cast<size_t>(fused->NumByteClasses()) *
                 fused->NumStateWords(),

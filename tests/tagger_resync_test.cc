@@ -64,13 +64,13 @@ TEST(ResyncTest, BackToBackSentences) {
   EXPECT_EQ(tags.size(), 4u);
 }
 
-TEST(ResyncTest, LegacyAnchoredFlagStillWorks) {
+TEST(ResyncTest, ArmModeDefaultsToAnchored) {
   TaggerOptions opt;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kAnchored);
-  opt.anchored = false;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kScan);
+  EXPECT_EQ(opt.arm_mode, ArmMode::kAnchored);
+  opt.arm_mode = ArmMode::kScan;
+  EXPECT_EQ(opt.arm_mode, ArmMode::kScan);
   opt.arm_mode = ArmMode::kResync;
-  EXPECT_EQ(opt.EffectiveArmMode(), ArmMode::kResync);
+  EXPECT_EQ(opt.arm_mode, ArmMode::kResync);
 }
 
 class ResyncLaneTest : public ::testing::TestWithParam<int> {};

@@ -1,6 +1,7 @@
-// SessionPool: Run() must reuse pooled scratch state across calls and
-// across threads, survive FunctionalTagger moves (the rebind path), and
-// hand back clean sessions after early-stopped scans.
+// FusedSessionPool (BasicSessionPool over FusedSessions): Run() must reuse
+// pooled scratch state across calls and across threads, survive
+// FusedTagger moves (the rebind path), and hand back clean sessions after
+// early-stopped scans.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 
 #include "grammar/grammar_parser.h"
 #include "obs/metrics.h"
-#include "tagger/functional_model.h"
+#include "tagger/fused_model.h"
 #include "tagger/session_pool.h"
 
 namespace cfgtag::tagger {
@@ -24,7 +25,7 @@ grammar::Grammar MustParse(const std::string& text) {
 
 TEST(SessionPoolTest, RunReusesOnePooledSession) {
   grammar::Grammar g = MustParse("NUM [0-9]+\n%%\ns: \"<n>\" NUM \"</n>\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
   const auto first = t->TagAll("<n>123</n>");
   const auto second = t->TagAll("<n>123</n>");
@@ -36,16 +37,16 @@ TEST(SessionPoolTest, RunReusesOnePooledSession) {
 
 TEST(SessionPoolTest, AcquireTracksCheckouts) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
   {
-    SessionPool::Handle a = pool.Acquire(&*t);
-    SessionPool::Handle b = pool.Acquire(&*t);
+    FusedSessionPool::Handle a = pool.Acquire(&*t);
+    FusedSessionPool::Handle b = pool.Acquire(&*t);
     EXPECT_EQ(pool.IdleCount(), 0u);
     EXPECT_EQ(pool.sessions_created(), 2u);
     // Handles are movable; the moved-from handle returns nothing.
-    SessionPool::Handle c = std::move(a);
+    FusedSessionPool::Handle c = std::move(a);
     EXPECT_NE(c.get(), nullptr);
   }
   EXPECT_EQ(pool.IdleCount(), 2u);
@@ -60,12 +61,12 @@ TEST(SessionPoolTest, AcquireTracksCheckouts) {
 
 TEST(SessionPoolTest, HardCapBoundsIdleSessions) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
   pool.set_max_idle(2);
   {
-    std::vector<SessionPool::Handle> handles;
+    std::vector<FusedSessionPool::Handle> handles;
     for (int i = 0; i < 5; ++i) handles.push_back(pool.Acquire(&*t));
     EXPECT_EQ(pool.sessions_created(), 5u);
   }
@@ -77,11 +78,11 @@ TEST(SessionPoolTest, HardCapBoundsIdleSessions) {
 
 TEST(SessionPoolTest, BurstTrimReleasesScratchAfterDrain) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
   {
-    std::vector<SessionPool::Handle> handles;
+    std::vector<FusedSessionPool::Handle> handles;
     for (int i = 0; i < 8; ++i) handles.push_back(pool.Acquire(&*t));
   }
   // The burst's own peak was 8, so all 8 stay resident right after it...
@@ -95,22 +96,22 @@ TEST(SessionPoolTest, BurstTrimReleasesScratchAfterDrain) {
 
 TEST(SessionPoolTest, IdleGaugeTracksPool) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
   obs::Gauge* idle = obs::MetricsRegistry::Default().GetGauge(
       "cfgtag_session_pool_idle_sessions");
   obs::Counter* dropped = obs::MetricsRegistry::Default().GetCounter(
       "cfgtag_session_pool_dropped_total");
   const uint64_t dropped_before = dropped->Value();
   {
-    SessionPool::Handle a = pool.Acquire(&*t);
-    SessionPool::Handle b = pool.Acquire(&*t);
+    FusedSessionPool::Handle a = pool.Acquire(&*t);
+    FusedSessionPool::Handle b = pool.Acquire(&*t);
     EXPECT_EQ(idle->Value(), 0.0);
   }
   EXPECT_EQ(idle->Value(), static_cast<double>(pool.IdleCount()));
   pool.set_max_idle(1);
-  { SessionPool::Handle a = pool.Acquire(&*t); }
+  { FusedSessionPool::Handle a = pool.Acquire(&*t); }
   // One of the two sessions was dropped by the lowered cap (or the burst
   // trim); the process-wide counter advanced by exactly that amount.
   EXPECT_EQ(pool.IdleCount(), 1u);
@@ -119,17 +120,17 @@ TEST(SessionPoolTest, IdleGaugeTracksPool) {
 }
 
 TEST(SessionPoolTest, SurvivesTaggerMove) {
-  // CompiledTagger::Compile moves the FunctionalTagger after Create(), so
-  // pooled sessions built before the move hold a stale tagger pointer;
-  // Acquire() must rebind them to the new address.
+  // CompiledTagger::Compile moves the FusedTagger after Create() (into
+  // the lazy-DFA engine), so pooled sessions built before the move hold a
+  // stale tagger pointer; Acquire() must rebind them to the new address.
   grammar::Grammar g = MustParse("NUM [0-9]+\n%%\ns: NUM \"x\";\n%%\n");
-  auto created = FunctionalTagger::Create(&g, {});
+  auto created = FusedTagger::Create(&g, {});
   ASSERT_TRUE(created.ok());
   const auto before = created->TagAll("123x");
   ASSERT_FALSE(before.empty());
   ASSERT_EQ(created->session_pool().sessions_created(), 1u);
 
-  FunctionalTagger moved = std::move(created).value();
+  FusedTagger moved = std::move(created).value();
   const auto after = moved.TagAll("123x");
   EXPECT_EQ(before, after);
   // Same pool, same session — rebound, not reallocated.
@@ -139,7 +140,7 @@ TEST(SessionPoolTest, SurvivesTaggerMove) {
 
 TEST(SessionPoolTest, EarlyStoppedSessionIsCleanOnReuse) {
   grammar::Grammar g = MustParse("%%\ns: \"a\" \"b\" \"c\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
   int seen = 0;
   t->Run("a b c", [&seen](const Tag&) { return ++seen < 2; });
@@ -152,7 +153,7 @@ TEST(SessionPoolTest, EarlyStoppedSessionIsCleanOnReuse) {
 
 TEST(SessionPoolTest, ConcurrentRunsShareThePool) {
   grammar::Grammar g = MustParse("NUM [0-9]+\n%%\ns: \"<n>\" NUM \"</n>\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
   const std::string input = "<n>4711</n>";
   const auto expected = t->TagAll(input);
@@ -170,7 +171,7 @@ TEST(SessionPoolTest, ConcurrentRunsShareThePool) {
   }
   for (auto& th : workers) th.join();
   for (int w = 0; w < kThreads; ++w) EXPECT_EQ(mismatches[w], 0);
-  const SessionPool& pool = t->session_pool();
+  const FusedSessionPool& pool = t->session_pool();
   // At most one session per concurrently-running thread was ever built.
   EXPECT_LE(pool.sessions_created(), static_cast<uint64_t>(kThreads) + 1);
   EXPECT_EQ(pool.sessions_created() + pool.sessions_reused(),
@@ -179,11 +180,11 @@ TEST(SessionPoolTest, ConcurrentRunsShareThePool) {
 
 TEST(SessionPoolTest, TrimIdleDropsAndCounts) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
   {
-    std::vector<SessionPool::Handle> handles;
+    std::vector<FusedSessionPool::Handle> handles;
     for (int i = 0; i < 6; ++i) handles.push_back(pool.Acquire(&*t));
   }
   ASSERT_EQ(pool.IdleCount(), 6u);
@@ -212,9 +213,9 @@ TEST(SessionPoolTest, TrimIdleDropsAndCounts) {
 // one of the two identities.
 TEST(SessionPoolTest, ContentionCountersReconcileAgainstOracle) {
   grammar::Grammar g = MustParse("NUM [0-9]+\n%%\ns: \"<n>\" NUM \"</n>\";\n%%\n");
-  auto t = FunctionalTagger::Create(&g, {});
+  auto t = FusedTagger::Create(&g, {});
   ASSERT_TRUE(t.ok());
-  SessionPool& pool = t->session_pool();
+  FusedSessionPool& pool = t->session_pool();
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 300;
@@ -238,10 +239,10 @@ TEST(SessionPoolTest, ContentionCountersReconcileAgainstOracle) {
       for (int i = 0; i < kItersPerThread; ++i) {
         // Mix plain checkouts, nested checkouts (forces pool growth), and
         // full tagging runs through the pool's hot path.
-        SessionPool::Handle a = pool.Acquire(&*t);
+        FusedSessionPool::Handle a = pool.Acquire(&*t);
         acquires.fetch_add(1, std::memory_order_relaxed);
         if (i % 3 == 0) {
-          SessionPool::Handle b = pool.Acquire(&*t);
+          FusedSessionPool::Handle b = pool.Acquire(&*t);
           acquires.fetch_add(1, std::memory_order_relaxed);
         }
         if (i % 5 == w % 5) {

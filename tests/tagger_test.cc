@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/rng.h"
 #include "grammar/grammar_parser.h"
@@ -73,7 +75,7 @@ TEST(FunctionalTaggerTest, AnchoredVsScanMode) {
   grammar::Grammar g = MustParse("%%\ns: \"ab\";\n%%\n");
   TaggerOptions anchored;
   TaggerOptions scan;
-  scan.anchored = false;
+  scan.arm_mode = ArmMode::kScan;
 
   grammar::Grammar g2 = g.Clone();
   auto t_anchored = FunctionalTagger::Create(&g, anchored);
@@ -89,10 +91,42 @@ TEST(FunctionalTaggerTest, AnchoredVsScanMode) {
   EXPECT_EQ(tags[0].end, 4u);
 }
 
+// Create() builds every step table, so threads may share a fresh tagger
+// from its first scan on.
+TEST(FunctionalTaggerTest, FreshTaggerIsThreadSafe) {
+  const std::string text =
+      "NUM [0-9]+\nWORD [a-z]+\n%%\ns: item s | item;\n"
+      "item: \"<n>\" NUM \"</n>\" | \"<w>\" WORD \"</w>\";\n%%\n";
+  const std::string input = "<n>12</n> <w>ab</w> <n>345</n> <w>x</w>";
+  grammar::Grammar g1 = MustParse(text);
+  auto single = FunctionalTagger::Create(&g1, {});
+  ASSERT_TRUE(single.ok()) << single.status();
+  const std::vector<Tag> want = single->TagAll(input);
+  ASSERT_EQ(want.size(), 12u);
+
+  grammar::Grammar g2 = MustParse(text);
+  auto shared = FunctionalTagger::Create(&g2, {});
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Tag>> got(kThreads);
+  std::vector<std::thread> threads;
+  // Start barrier: all four first scans begin together.
+  std::atomic<int> ready{0};
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[i] = shared->TagAll(input);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], want) << "thread " << i;
+}
+
 TEST(FunctionalTaggerTest, ScanModeFindsEveryAlignment) {
   grammar::Grammar g = MustParse("%%\ns: \"aa\";\n%%\n");
   TaggerOptions scan;
-  scan.anchored = false;
+  scan.arm_mode = ArmMode::kScan;
   auto t = FunctionalTagger::Create(&g, scan);
   ASSERT_TRUE(t.ok());
   // "aaaa": matches end at offsets 1,2,3 (every alignment, §3.3).

@@ -11,18 +11,12 @@
 //   --analysis          print the First/Follow analysis (paper Fig. 10)
 //   --lint              print grammar diagnostics (arm conflicts etc.)
 //   --tag FILE          tag the contents of FILE and print the tag stream
-//   --cycle-accurate    tag via gate-level simulation instead of the model
+//   --cycle-accurate    tag via gate-level simulation instead of the
+//                       software engine
 //   --vcd FILE          with --tag: dump a VCD waveform of the simulation
 //   --testbench FILE    with --tag: emit a self-checking VHDL testbench
 //                       that replays the tagged input and asserts the tags
 //   --mode MODE         anchored | scan | resync       (default anchored)
-//   --backend ENGINE    functional | fused | lazy | auto: the software
-//                       engine behind --tag (default functional; fused is
-//                       the byte-class-compressed bit-parallel engine,
-//                       lazy memoizes fused steps as a lazily built DFA,
-//                       auto picks lazy when the grammar's byte-class x
-//                       state-word product is small enough for the
-//                       transition cache to pay off, fused otherwise)
 //   --threads N         with --tag: shard the input at newline record
 //                       boundaries and tag shards in parallel (needs
 //                       --mode resync and newline-framed records;
@@ -44,8 +38,8 @@
 //                       exit — and from a SIGINT/SIGTERM handler, so an
 //                       interrupted run still leaves its last events
 //   --save-artifact FILE
-//                       serialize the compiled software tagger (fused or
-//                       lazy backend) into a zero-copy artifact file
+//                       serialize the compiled software tagger into a
+//                       zero-copy artifact file
 //   --load-artifact FILE
 //                       skip the grammar compile entirely: mmap a saved
 //                       artifact and tag with it (software engine only —
@@ -113,7 +107,6 @@ int Usage(const char* argv0) {
                "usage: %s GRAMMAR [INPUT] [--vhdl FILE] [--entity NAME]\n"
                "       [--report] [--analysis] [--tag FILE]\n"
                "       [--cycle-accurate] [--mode anchored|scan|resync]\n"
-               "       [--backend functional|fused|lazy|auto]\n"
                "       [--threads N] [--bytes-per-cycle N] [--replicate N]\n"
                "       [--no-longest-match] [--no-encoder]\n"
                "       [--metrics-out FILE] [--trace-out FILE]\n"
@@ -301,22 +294,6 @@ int RunTool(int argc, char** argv) {
       } else if (std::strcmp(v, "resync") == 0) {
         options.tagger.arm_mode = cfgtag::tagger::ArmMode::kResync;
       } else {
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--backend") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      if (std::strcmp(v, "functional") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kFunctional;
-      } else if (std::strcmp(v, "fused") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kFused;
-      } else if (std::strcmp(v, "lazy") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kLazyDfa;
-      } else if (std::strcmp(v, "auto") == 0) {
-        options.tagger.backend = cfgtag::tagger::TaggerBackend::kAuto;
-      } else {
-        std::fprintf(stderr,
-                     "--backend must be functional, fused, lazy or auto\n");
         return Usage(argv[0]);
       }
     } else if (arg == "--threads") {
@@ -565,14 +542,19 @@ int RunTool(int argc, char** argv) {
     if (!compiled.ok()) return FailStatus("compile", compiled.status());
     tagger.emplace(std::move(compiled).value());
   }
-  if (tagger->has_hardware()) {
-    const auto stats = tagger->hardware().netlist.ComputeStats();
+  // Only hardware outputs generate the netlist; tagging never does.
+  const cfgtag::hwgen::GeneratedTagger* hw = nullptr;
+  if (!tagger->has_hardware()) {
+    std::printf("software engine loaded from artifact (no netlist)\n");
+  } else if (needs_hardware) {
+    auto built = tagger->hardware();
+    if (!built.ok()) return FailStatus("hwgen", built.status());
+    hw = *built;
+    const auto stats = hw->netlist.ComputeStats();
     std::printf("netlist: %zu gates, %zu registers, %d byte(s)/cycle, "
                 "match latency %d cycle(s)\n",
-                stats.num_gates, stats.num_regs, tagger->hardware().lanes,
-                tagger->hardware().match_latency);
-  } else {
-    std::printf("software engine loaded from artifact (no netlist)\n");
+                stats.num_gates, stats.num_regs, hw->lanes,
+                hw->match_latency);
   }
 
   if (!save_artifact.empty()) {
@@ -619,7 +601,7 @@ int RunTool(int argc, char** argv) {
   if (!netlist_path.empty()) {
     std::ofstream out(netlist_path, std::ios::binary);
     const std::string text =
-        cfgtag::rtl::SerializeNetlist(tagger->hardware().netlist);
+        cfgtag::rtl::SerializeNetlist(hw->netlist);
     out << text;
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", netlist_path.c_str());
@@ -668,8 +650,7 @@ int RunTool(int argc, char** argv) {
       // follow-set arms a fresh tagger would not have.
       const cfgtag::regex::CharClass record =
           cfgtag::regex::CharClass::Of('\n');
-      if (options.tagger.EffectiveArmMode() !=
-          cfgtag::tagger::ArmMode::kResync) {
+      if (options.tagger.arm_mode != cfgtag::tagger::ArmMode::kResync) {
         std::fprintf(stderr,
                      "--threads needs --mode resync; tagging with one "
                      "thread instead\n");
@@ -746,17 +727,11 @@ int RunTool(int argc, char** argv) {
       if (!status.ok()) return FailStatus("vcd", status);
       std::printf("wrote waveform to %s\n", vcd_path.c_str());
     }
-    // Report the engine the compile resolved to (--backend auto becomes
-    // fused or lazy-dfa by here).
-    const char* engine = "functional";
-    if (cycle_accurate) {
-      engine = "cycle-accurate";
-    } else if (tagger->backend() == cfgtag::tagger::TaggerBackend::kFused) {
-      engine = "fused";
-    } else if (tagger->backend() ==
-               cfgtag::tagger::TaggerBackend::kLazyDfa) {
-      engine = "lazy-dfa";
-    }
+    // Name the path that produced the tags: the netlist simulation, or
+    // the serving engine with or without its transition cache.
+    const char* engine = cycle_accurate              ? "cycle-accurate"
+                         : tagger->engine().caches() ? "lazy-dfa"
+                                                     : "fused";
     std::printf("%zu tags from %s (%s engine)%s:\n", tags.size(),
                 tag_path.c_str(), engine,
                 tag_status.ok() ? "" : ", partial — scan aborted");
