@@ -269,13 +269,6 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // netlist's at the final scanned byte.
   static const std::string& kPadding =
       *new std::string(kFlushPadding + 1, kFlushByte);
-  const size_t scan_end = input.size() + kFlushPadding;
-  uint64_t emitted = 0;
-  const tagger::TagSink gated = [&](const tagger::Tag& t) {
-    if (t.end >= scan_end) return true;
-    ++emitted;
-    return sink(t);
-  };
   const size_t step = control.check_interval_bytes == 0
                           ? input.size() + 1
                           : control.check_interval_bytes;
@@ -284,6 +277,8 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   // a tag still open at the stop point is never reported.
   tagger::LazyDfaSessionPool::Handle session =
       engine_->session_pool().Acquire(engine_.get());
+  // Tags inside the flush padding are dropped during replay.
+  session->set_emit_cutoff(input.size() + kFlushPadding);
   size_t fed = 0;
   Status trip = Status::Ok();
   while (fed < input.size()) {
@@ -291,7 +286,7 @@ Status CompiledTagger::TagWithControl(std::string_view input,
     if (!trip.ok()) break;
     resilience::FaultInjector::MaybeStall("scan.chunk");
     const size_t n = std::min(step, input.size() - fed);
-    session->Feed(input.substr(fed, n), gated);
+    session->Feed(input.substr(fed, n), sink);
     fed += n;
     if (progress != nullptr) {
       progress->store(fed, std::memory_order_relaxed);
@@ -299,12 +294,12 @@ Status CompiledTagger::TagWithControl(std::string_view input,
   }
   if (trip.ok()) trip = control.Check();
   if (trip.ok()) {
-    session->Feed(kPadding, gated);
-    session->Finish(gated);
+    session->Feed(kPadding, sink);
+    session->Finish(sink);
   }
   metrics.calls->Increment();
   metrics.bytes->Increment(fed);
-  metrics.tags->Increment(emitted);
+  metrics.tags->Increment(session->tags_delivered());
   if (consumed != nullptr) *consumed = fed;
   if (!trip.ok()) {
     resilience::CountControlTrip(trip, fed, input.size(), "core.Tag");

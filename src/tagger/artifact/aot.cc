@@ -79,7 +79,7 @@ class AotBuilder {
     const int32_t next = InternOrReject(tmp_state_, tmp_armed_,
                                         next_prev_delim,
                                         static_cast<int16_t>(cls));
-    if (next < 0) return;  // over budget: runtime overlay will build it
+    if (next < 0) return;  // over budget: the loading session builds it
     DfaTrans tr;
     tr.next = next;
     tr.emit_begin = static_cast<uint32_t>(out_.emit_pool.size());

@@ -24,7 +24,7 @@ struct AotDfa {
 // the same step (and the same hashing, dfa_state.h) a LazyDfaSession runs
 // on a cache miss, done once at serialize time. `max_states` bounds the
 // interned set: transitions whose successor would exceed the budget are
-// left unbuilt (next = -1) for the runtime overlay to fill. With
+// left unbuilt (next = -1) for the loading session to build. With
 // max_states == 0 the result is empty (AOT disabled).
 //
 // The walk is deterministic, so equal (grammar, options) pairs produce

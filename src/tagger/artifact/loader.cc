@@ -247,6 +247,8 @@ class Loader {
         hdr.num_tokens == 0 || hdr.num_words == 0) {
       return InvalidArgumentError("artifact: degenerate table shape");
     }
+    CFGTAG_RETURN_IF_ERROR(CheckDfaTableRange(
+        hdr.dfa_cache_bytes, hdr.aot_states, hdr.num_classes));
     for (int b = 0; b < 256; ++b) {
       if (hdr.class_of[b] >= hdr.num_classes) {
         return OutOfRangeError("artifact: byte class out of range");
@@ -403,6 +405,7 @@ class Loader {
           return OutOfRangeError("artifact: AOT snapshot word out of range");
         }
       }
+      uint64_t emit_total = 0;
       for (const DfaTrans& tr : trans) {
         if (tr.next < -1 ||
             static_cast<int64_t>(tr.next) >=
@@ -410,6 +413,13 @@ class Loader {
             uint64_t{tr.emit_begin} + tr.emit_count > emit.size()) {
           return OutOfRangeError("artifact: AOT transition out of bounds");
         }
+        emit_total += tr.emit_count;
+      }
+      // The writer appends one list per built edge, so an honest region's
+      // lists tile the pool exactly. More would let a small file make every
+      // edge replay the whole pool.
+      if (emit_total > emit.size()) {
+        return OutOfRangeError("artifact: AOT emission lists overlap");
       }
       for (const int32_t tok : emit) {
         if (tok < 0 || static_cast<uint64_t>(tok) >= nt) {
@@ -418,11 +428,10 @@ class Loader {
       }
       aot = std::make_shared<AotDfaTable>();
       aot->states = states;
-      aot->trans = trans;
       aot->snap_pool = snap;
       aot->emit_pool = emit;
       aot->num_classes = nc;
-      aot->BuildIndex();
+      aot->Prepare(trans);
     } else if (sec_aot_states != nullptr || secs.Find(kSecAotTrans) ||
                secs.Find(kSecAotSnap) || secs.Find(kSecAotEmit)) {
       return InvalidArgumentError("artifact: unexpected AOT section");
@@ -499,7 +508,8 @@ StatusOr<LoadedTagger> LoadFromMemory(std::string_view bytes) {
   // Copy into 8-aligned owned storage: string_view data carries no
   // alignment guarantee and the table views require natural alignment.
   auto copy = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
-  std::memcpy(copy->data(), bytes.data(), bytes.size());
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (!bytes.empty()) std::memcpy(copy->data(), bytes.data(), bytes.size());
   const char* data = reinterpret_cast<const char*>(copy->data());
   return Loader::Load(std::shared_ptr<const void>(copy, copy->data()), data,
                       bytes.size());

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/hash.h"
+#include "common/status.h"
 #include "tagger/fused_model.h"
 
 namespace cfgtag::tagger {
@@ -30,16 +31,60 @@ struct DfaStateInfo {
 };
 static_assert(sizeof(DfaStateInfo) == 24, "DfaStateInfo is serialized");
 
-// A cached transition: successor state plus the tags the step emits, as
-// token ids into the owning emission pool (the end offset is the stream
-// position at replay time, so only the ids are interned). next = -1 means
-// not yet built (runtime) or outside the AOT budget (baked tables).
+// A baked AOT transition as the artifact stores it: successor state plus
+// the tags the step emits, as token ids into the AOT emission pool (the
+// end offset is the stream position at replay time, so only the ids are
+// interned). next = -1 means outside the AOT budget. Sessions never step
+// these rows directly: AotDfaTable::Prepare converts them at load into
+// the flat edge encoding below.
 struct DfaTrans {
   int32_t next = -1;
   uint32_t emit_begin = 0;
   uint32_t emit_count = 0;
 };
 static_assert(sizeof(DfaTrans) == 12, "DfaTrans is serialized");
+
+// Whether the warm loop must hand control back at this state: a dead
+// configuration with a pending byte, where the idle skip paths apply.
+inline bool IdleEligible(const DfaStateInfo& s) {
+  return s.num_state == 0 && s.pending_cls >= 0;
+}
+
+// The lazy-DFA session's flat table encoding (see LazyDfaSession): one
+// uint32_t per (state, class) edge holding the target's *premultiplied*
+// row offset, target_id * num_classes, so the warm loop indexes the next
+// row without a multiply. The top bit marks a slow edge, one the warm
+// loop may not take on its own: unbuilt, emitting, into an idle-eligible
+// state, or out of the no-pending stream-start state. The all-ones value
+// is an unbuilt edge, never a real one (CheckDfaTableRange keeps every row
+// offset below kSlowEdge - num_classes).
+constexpr uint32_t kSlowEdge = 1u << 31;
+constexpr uint32_t kUnbuiltEdge = ~uint32_t{0};
+
+inline uint32_t EncodeEdge(const DfaStateInfo& src, const DfaStateInfo& dst,
+                           uint32_t dst_row, bool emits) {
+  const bool slow = emits || IdleEligible(dst) || src.pending_cls < 0;
+  return dst_row | (slow ? kSlowEdge : 0);
+}
+
+// Rejects a cache budget whose worst-case table could overflow the 31-bit
+// row offsets. A session charges at least 8 bytes per edge (the row plus
+// its emission ref) to dfa_cache_bytes and interns at most two states past
+// the budget before it flushes, so its rows never exceed dfa_cache_bytes /
+// 8 + 2 * num_classes edges; baked states add aot_states * num_classes.
+// num_classes is at most 256 (one class per byte value), so the sum below
+// cannot wrap.
+inline Status CheckDfaTableRange(uint64_t dfa_cache_bytes,
+                                 uint64_t aot_states, size_t num_classes) {
+  const uint64_t limit = kSlowEdge - 1;
+  const uint64_t c = num_classes;
+  if (aot_states > limit ||
+      dfa_cache_bytes / 8 + (aot_states + 2) * c > limit) {
+    return InvalidArgumentError(
+        "dfa_cache_bytes too large for the 31-bit lazy-DFA row encoding");
+  }
+  return Status::Ok();
+}
 
 // Configuration hash over the canonical sparse runs. Baked AOT states
 // store this value, and the runtime probes them with hashes computed by

@@ -5,6 +5,7 @@
 #include "grammar/analysis.h"
 #include "obs/attribution.h"
 #include "regex/position_automaton.h"
+#include "tagger/dfa_state.h"
 #include "tagger/simd/dispatch.h"
 
 namespace cfgtag::tagger {
@@ -73,6 +74,8 @@ StatusOr<FusedTagger> FusedTagger::Create(const grammar::Grammar* grammar,
   }
   t.classifier_ = ByteClassifier::Build(classes);
   const size_t num_classes = t.classifier_.NumClasses();
+  CFGTAG_RETURN_IF_ERROR(
+      CheckDfaTableRange(options.dfa_cache_bytes, 0, num_classes));
   s.class_is_delim.assign(num_classes, 0);
   for (size_t cls = 0; cls < num_classes; ++cls) {
     s.class_is_delim[cls] =

@@ -22,16 +22,25 @@ namespace cfgtag::tagger {
 class LazyDfaTagger;
 class LazyDfaSessionPool;
 
+// The tokens one DFA edge emits: [begin, begin + count) in the owning
+// emission pool. Edges refer to spans by index, so an edge costs 4 bytes
+// whether or not it emits; index 0 is the empty span.
+struct EmitSpan {
+  uint32_t begin = 0;
+  uint32_t count = 0;
+};
+
 // An ahead-of-time determinized transition table, baked into an artifact
 // at serialize time and shared read-only by every session of the tagger
 // that loaded it. Baked state ids are [0, states.size()); sessions place
-// their own lazily interned states above that range and never mutate the
-// baked rows, so one table serves any number of threads. Transitions the
-// AOT walk left unbuilt (outside the state budget) have next = -1 and are
-// built at run time into the session's private overlay.
+// their own lazily interned states above that range. At load the baked
+// rows are converted once into the sessions' flat table encoding (see
+// LazyDfaSession); each session copies that conversion, and the emission
+// pool its spans index, as the prefix of its own table. Transitions the
+// AOT walk left unbuilt (outside the state budget) stay kUnbuiltEdge there
+// and are built at run time into the session's copy.
 struct AotDfaTable {
   TableView<DfaStateInfo> states;
-  TableView<DfaTrans> trans;  // row-major [state * num_classes + cls]
   TableView<WordBits> snap_pool;
   TableView<int32_t> emit_pool;
   size_t num_classes = 0;
@@ -41,14 +50,27 @@ struct AotDfaTable {
   // position-independent data).
   std::unordered_multimap<uint64_t, int32_t> index;
 
+  // The baked rows in the session encoding: next[state * num_classes +
+  // cls] is the premultiplied target row with kSlowEdge, emit_ref[] the
+  // parallel index of the edge's span in emit_spans, whose spans index
+  // emit_pool as stored.
+  std::vector<uint32_t> next;
+  std::vector<uint32_t> emit_ref;
+  std::vector<EmitSpan> emit_spans;
+
   // Keeps the mapped (or copied) artifact bytes alive.
   std::shared_ptr<const void> backing;
 
-  void BuildIndex() {
-    index.clear();
-    for (size_t i = 0; i < states.size(); ++i) {
-      index.emplace(states[i].hash, static_cast<int32_t>(i));
-    }
+  // Builds the hash index and the flat rows from the artifact's DfaTrans
+  // rows (row-major [state * num_classes + cls]), already validated
+  // against `states` and `emit_pool` by the loader.
+  void Prepare(TableView<DfaTrans> trans);
+
+  // Bytes one session's copy of the prefix occupies.
+  size_t PrefixBytes() const {
+    return next.size() * 2 * sizeof(uint32_t) +
+           emit_spans.size() * sizeof(EmitSpan) +
+           emit_pool.size() * sizeof(int32_t);
   }
 };
 
@@ -75,15 +97,33 @@ struct DfaCacheMetrics {
 // representative builds a transition that is exact for every byte of the
 // class.
 //
-// Steady state, the inner loop is one table lookup — `trans[state][
-// class_of[byte]]` — plus an emission-replay branch. A miss takes one real
-// fused step (LoadConfig, ProcessByte, SnapshotConfig) and interns the
-// result. When the cache grows past TaggerOptions::dfa_cache_bytes it is
-// dropped wholesale and rebuilt from the current configuration (RE2's
-// flush discipline); after dfa_flush_fallback flushes the session stops
-// caching and runs its scratch FusedSession directly for the rest of its
-// life (Rebind to a different tagger clears the verdict). Sessions of a
-// tagger built with caching off run that way from the start.
+// The transitions live in one flat, session-owned table: next_[row + cls]
+// for the state whose row offset is row = id * num_classes holds the
+// target's row offset, so a warm byte is
+//
+//   e = next_[s + class_of[*p]]; if (e & kSlowEdge) break; s = e;
+//
+// with s and p in registers; tag end offsets follow from p. An edge is
+// slow (dfa_state.h) when it is unbuilt, emits, enters an idle-eligible
+// state (dead with a pending byte, where the delimiter / anchored-dead /
+// resync-garbage / armed-byte skip paths run), or leaves the no-pending
+// stream-start state. The slow path replays the edge's emission span
+// (emit_ref_ runs parallel to next_ and only slow edges read it), runs the
+// skip paths, and builds misses: one real fused step (LoadConfig,
+// ProcessByte, SnapshotConfig) whose result is interned.
+//
+// Ids [0, aot_states()) are the tagger's baked AOT states: their rows,
+// converted at load, and the artifact's emission pool are copied into the
+// table's prefix when the session is created or rebound, and runtime
+// builds out of them fill the copy. The copy is charged to the process
+// ResourceBudget but not to dfa_cache_bytes, which bounds only the
+// session's own states. When the cache grows past that budget it is
+// dropped wholesale — the prefix reset to the tagger's rows — and rebuilt
+// from the current configuration (RE2's flush discipline); after
+// dfa_flush_fallback flushes the session stops caching and runs its
+// scratch FusedSession directly for the rest of its life (Rebind to a
+// different tagger clears the verdict). Sessions of a tagger built with
+// caching off run that way from the start.
 //
 // Tag streams are byte-identical, order included, to the functional and
 // fused engines — enforced by the differential and fuzz suites.
@@ -109,46 +149,89 @@ class LazyDfaSession {
   // !tagger->caches().
   void Rebind(const LazyDfaTagger* tagger);
 
+  // Tags ending at or past `end` are not passed to the sink (attribution
+  // still counts them). CompiledTagger sets it to the end of the scanned
+  // range so tags inside the flush padding are dropped during replay.
+  // Reset() lifts the cutoff.
+  void set_emit_cutoff(uint64_t end) { emit_cutoff_ = end; }
+
+  // Tags passed to a sink since Reset().
+  uint64_t tags_delivered() const { return tags_delivered_; }
+
   // Bytes fully processed so far (excludes the pending look-ahead byte).
   uint64_t bytes_consumed() const { return consumed_; }
 
   const LazyDfaTagger* tagger() const { return tagger_; }
 
   // Cache introspection (tests and metrics surfacing). cache_states()
-  // counts only the session's own interned states, not the shared baked
-  // table (aot_states() reports that).
+  // counts only the session's own interned states, not the baked prefix
+  // (aot_states() reports that).
   size_t cache_states() const { return states_.size(); }
-  size_t aot_states() const { return static_cast<size_t>(num_aot_); }
+  size_t aot_states() const { return num_aot_; }
   size_t cache_bytes() const { return cache_bytes_; }
   uint64_t cache_flushes() const { return flushes_; }
   bool fallback_active() const { return fallback_; }
 
  private:
+  // Id of the state whose row starts at `row`.
+  uint32_t IdOf(uint32_t row) const {
+    return row / static_cast<uint32_t>(num_classes_);
+  }
   // Resolves a state id across the two regions: baked AOT states occupy
   // [0, num_aot_), session-interned states live above.
-  const DfaStateInfo& Info(int32_t id) const {
-    return id < num_aot_ ? aot_->states[static_cast<size_t>(id)]
-                         : states_[static_cast<size_t>(id - num_aot_)];
+  const DfaStateInfo& Info(uint32_t id) const {
+    return id < num_aot_ ? aot_->states[id] : states_[id - num_aot_];
   }
   // First snapshot word of `info`, resolved into the owning pool.
-  const WordBits* Snap(const DfaStateInfo& info, int32_t id) const {
+  const WordBits* Snap(const DfaStateInfo& info, uint32_t id) const {
     return (id < num_aot_ ? aot_->snap_pool.data() : snap_pool_.data()) +
            info.snap_begin;
   }
 
-  int32_t InternState(const std::vector<WordBits>& state,
-                      const std::vector<WordBits>& armed, bool prev_delim,
-                      int16_t pending_cls);
-  // Builds (and caches) the transition out of the current state on input
-  // class `cls`, flushing first if the cache is over budget. May enter
-  // fallback mode — the caller must check fallback_active() after a build.
-  DfaTrans BuildTransition(uint8_t cls);
+  // Returns the id of the state equal to the configuration, interning it
+  // (with an all-unbuilt row) when new.
+  uint32_t InternState(const std::vector<WordBits>& state,
+                       const std::vector<WordBits>& armed, bool prev_delim,
+                       int16_t pending_cls);
+  // Builds the edge out of the current state on input class `cls`,
+  // flushing first if the cache is over budget (which may move state_).
+  // Returns false when the session entered fallback mode instead.
+  bool BuildTransition(uint8_t cls);
+  // The idle fast paths from the idle-eligible state `info` at `p`:
+  // returns the byte at which the one real transition is taken.
+  const unsigned char* SkipIdle(const DfaStateInfo& info,
+                                const unsigned char* p,
+                                const unsigned char* end) const;
+  // Whether a tag ending at `end` reaches the sink (it lies before the
+  // emission cutoff); counts it as delivered when it does.
+  bool PassCutoff(uint64_t end) {
+    if (end >= emit_cutoff_) return false;
+    ++tags_delivered_;
+    return true;
+  }
+  // Delivers one tag through the emission cutoff and the early-stop flag.
+  void Deliver(int32_t token, uint64_t at, const TagSink& sink) {
+    if (!stopped_ && PassCutoff(at)) {
+      Tag tag;
+      tag.token = token;
+      tag.end = at;
+      if (!sink(tag)) stopped_ = true;
+    }
+    if (attr_on_) ++attr_matches_[static_cast<size_t>(token)];
+  }
   void Flush();
   void EnterFallback();
+  // `sink` behind the emission cutoff and the delivered-tag count, for
+  // the fused fallback path (scratch_ counts its own attribution there).
+  TagSink FallbackSink(const TagSink& sink);
+  // Runs the rest of a chunk on the scratch fused session.
+  void FeedFallback(std::string_view chunk, const TagSink& sink);
   // Loads the current interned configuration into scratch_, restoring the
   // stream position, stop flag, and pending byte (as its class
   // representative) so the fused engine can continue the stream exactly.
   void MaterializeScratch();
+  // Drops the session-interned states and restores the table to the
+  // tagger's baked prefix (or, in fallback mode, frees the table).
   void ClearCache();
   void SyncFromScratch();
 
@@ -162,32 +245,39 @@ class LazyDfaSession {
 
   // The shared baked table (may be null) and the size of its id region.
   const AotDfaTable* aot_ = nullptr;
-  int32_t num_aot_ = 0;
+  uint32_t num_aot_ = 0;
 
-  // Session-private cache. states_[k] has global id num_aot_ + k; trans_
-  // holds only the session states' rows. Runtime-built transitions out of
-  // *baked* states go into overlay_ (keyed by state * num_classes + cls)
-  // — the baked rows themselves are immutable and shared across threads.
-  std::vector<DfaStateInfo> states_;
-  std::vector<DfaTrans> trans_;  // row-major [(id - num_aot_) * num_classes + cls]
-  std::unordered_map<uint64_t, DfaTrans> overlay_;
-  std::vector<WordBits> snap_pool_;
+  // The flat table over both id regions (see the class comment): next_
+  // and emit_ref_ are row-major [id * num_classes_ + cls], emit_ref_
+  // indexes emit_spans_, whose spans index emit_pool_. states_[k] is the
+  // info of id num_aot_ + k.
+  std::vector<uint32_t> next_;
+  std::vector<uint32_t> emit_ref_;
+  std::vector<EmitSpan> emit_spans_;
   std::vector<int32_t> emit_pool_;
-  std::unordered_multimap<uint64_t, int32_t> index_;
+  // Prefix edges built at run time (unbuilt in the baked rows), so a
+  // flush resets just those instead of copying the whole prefix again.
+  std::vector<uint32_t> patched_;
+  std::vector<DfaStateInfo> states_;
+  std::vector<WordBits> snap_pool_;
+  std::unordered_multimap<uint64_t, uint32_t> index_;
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
-  // Mirrors cache_bytes_ into the process resource budget so a fleet of
-  // sessions shows up as one "dfa_cache" footprint; under budget pressure
-  // the kShedDfa rung stops further growth (see BuildTransition).
+  // Mirrors cache_bytes_, plus the copied baked prefix, into the process
+  // resource budget so a fleet of sessions shows up as one "dfa_cache"
+  // footprint; under budget pressure the kShedDfa rung stops further
+  // growth (see BuildTransition).
   core::resilience::ScopedCharge budget_{"dfa_cache"};
 
   // Scratch for intern/build, kept allocated across steps.
   std::vector<WordBits> tmp_state_, tmp_armed_;
   std::vector<int32_t> tmp_emit_;
 
-  int32_t state_ = 0;
+  uint32_t state_ = 0;  // row offset of the current state
   uint64_t consumed_ = 0;
   uint64_t flushes_ = 0;
+  uint64_t emit_cutoff_ = ~uint64_t{0};
+  uint64_t tags_delivered_ = 0;
   bool fallback_ = false;
   bool finished_ = false;
   bool stopped_ = false;

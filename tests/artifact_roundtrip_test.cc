@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "tagger/artifact/cache.h"
 #include "tagger/artifact/format.h"
 #include "tagger/artifact/writer.h"
+#include "tagger/dfa_state.h"
 #include "tagger/tag.h"
 
 namespace cfgtag {
@@ -331,6 +334,76 @@ TEST(ArtifactLoaderHardeningTest, RejectsHeaderFieldCorruption) {
   ExpectRejects(bytes, 12, "endian tag");
   ExpectRejects(bytes, 16, "file_bytes");
   ExpectRejects(bytes, 24, "checksum");
+}
+
+// Rewrites the header's dfa_cache_bytes and reseals the checksum: a
+// crafted file, not a random flip.
+std::string WithCacheBudget(std::string bytes, uint64_t dfa_cache_bytes) {
+  tagger::artifact::ArtifactHeader hdr;
+  std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+  hdr.dfa_cache_bytes = dfa_cache_bytes;
+  std::memcpy(&bytes[0], &hdr, sizeof(hdr));
+  const uint64_t sum =
+      tagger::artifact::ArtifactChecksum(bytes.data(), bytes.size());
+  std::memcpy(&bytes[offsetof(tagger::artifact::ArtifactHeader, checksum)],
+              &sum, sizeof(sum));
+  return bytes;
+}
+
+// A validly sealed header whose cache budget would let a session's row
+// offsets overflow the 31-bit premultiplied encoding is rejected before
+// any session runs.
+TEST(ArtifactLoaderHardeningTest, RejectsCacheBudgetBeyondRowEncoding) {
+  const std::string bytes = ValidArtifact();
+  // Control: resealing with an in-range budget still loads.
+  EXPECT_TRUE(
+      CompiledTagger::Deserialize(WithCacheBudget(bytes, 1 << 20)).ok());
+  for (uint64_t budget : {~uint64_t{0}, uint64_t{1} << 34}) {
+    auto r = CompiledTagger::Deserialize(WithCacheBudget(bytes, budget));
+    ASSERT_FALSE(r.ok()) << "budget " << budget << " was accepted";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Points every built AOT edge at the whole emission pool and reseals the
+// checksum: each span is in bounds on its own, but together they would
+// make every step replay the pool.
+std::string WithEdgesSpanningWholePool(std::string bytes) {
+  namespace fmt = tagger::artifact;
+  fmt::ArtifactHeader hdr;
+  std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+  fmt::SectionEntry trans{}, emit{};
+  for (uint32_t i = 0; i < hdr.num_sections; ++i) {
+    fmt::SectionEntry e;
+    std::memcpy(&e, bytes.data() + sizeof(hdr) + i * sizeof(e), sizeof(e));
+    if (e.kind == fmt::kSecAotTrans) trans = e;
+    if (e.kind == fmt::kSecAotEmit) emit = e;
+  }
+  EXPECT_GT(trans.count, 0u) << "fixture artifact has no AOT region";
+  EXPECT_GT(emit.count, 0u) << "fixture AOT region emits nothing";
+  for (uint64_t i = 0; i < trans.count; ++i) {
+    char* at = &bytes[trans.offset + i * sizeof(tagger::DfaTrans)];
+    tagger::DfaTrans tr;
+    std::memcpy(&tr, at, sizeof(tr));
+    if (tr.next < 0) continue;
+    tr.emit_begin = 0;
+    tr.emit_count = static_cast<uint32_t>(emit.count);
+    std::memcpy(at, &tr, sizeof(tr));
+  }
+  const uint64_t sum = fmt::ArtifactChecksum(bytes.data(), bytes.size());
+  std::memcpy(&bytes[offsetof(fmt::ArtifactHeader, checksum)], &sum,
+              sizeof(sum));
+  return bytes;
+}
+
+// An honest AOT region's emission lists tile the pool exactly (one list
+// per built edge); a crafted region whose lists add up to more is
+// rejected at load.
+TEST(ArtifactLoaderHardeningTest, RejectsEmissionListsBeyondPool) {
+  const std::string bytes = ValidArtifact();
+  auto r = CompiledTagger::Deserialize(WithEdgesSpanningWholePool(bytes));
+  ASSERT_FALSE(r.ok()) << "overlapping emission lists were accepted";
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << r.status();
 }
 
 // The acceptance invariant: random byte flips and truncations anywhere in

@@ -2,17 +2,28 @@
 // be tag-for-tag identical to the FunctionalTagger reference on every
 // option combination, including streaming, early-stop sinks, the idle
 // skip paths, cache flushes under a starvation-sized budget, and the
-// sticky fused fallback after repeated flush thrash.
+// sticky fused fallback after repeated flush thrash. The flat-table edges
+// get their own sweeps: random chunk splits, an early stop inside a
+// multi-token emission list, runtime builds out of a small baked AOT
+// prefix, flushes that must restore that prefix, the prefix's charge to
+// the process resource budget, and exact attribution.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/resilience/budget.h"
 #include "grammar/grammar.h"
 #include "grammar/grammar_parser.h"
+#include "obs/attribution.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "tagger/artifact/loader.h"
+#include "tagger/artifact/writer.h"
 #include "tagger/functional_model.h"
 #include "tagger/fused_model.h"
 #include "tagger/lazy_dfa.h"
@@ -342,6 +353,284 @@ TEST(LazyDfaTaggerTest, CachePressureRecordsFlightEvents) {
   }
   EXPECT_TRUE(saw_flush);
   EXPECT_TRUE(saw_fallback);
+}
+
+// --- Flat-table edges ------------------------------------------------------
+
+// Two tokens over the same letters emit together at one byte: the
+// multi-token emission lists an early stop can cut in the middle.
+const char kTwinGrammar[] =
+    "A [a-z]+\nB [a-z]+\nN [0-9]+\nOP [-+*/]\n%%\n"
+    "s: t s | t;\nt: A | B | N OP N;\n%%\n";
+
+constexpr ArmMode kModes[] = {ArmMode::kAnchored, ArmMode::kScan,
+                              ArmMode::kResync};
+
+std::string RandomInput(Rng& rng, size_t max_len) {
+  static const char kAlphabet[] = "abcxyz0129+-*/  \n\t?#.";
+  std::string s(rng.NextBelow(max_len + 1), ' ');
+  for (char& c : s) c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
+  return s;
+}
+
+// Feeds `input` in random 1-64 byte chunks and returns the tags; the
+// session's byte ledger must end at the input size.
+std::vector<Tag> FeedRandomChunks(LazyDfaSession& session,
+                                  std::string_view input, Rng& rng) {
+  std::vector<Tag> tags;
+  const TagSink sink = [&](const Tag& tag) {
+    tags.push_back(tag);
+    return true;
+  };
+  for (size_t i = 0; i < input.size();) {
+    const size_t n = 1 + rng.NextBelow(64);
+    session.Feed(input.substr(i, n), sink);
+    i += n;
+  }
+  session.Finish(sink);
+  EXPECT_EQ(session.bytes_consumed(), input.size());
+  return tags;
+}
+
+TEST(LazyDfaFlatTableTest, RandomChunkSplitsMatchFunctional) {
+  Rng rng(0x5eed13);
+  for (const char* text : {kCalcGrammar, kTwinGrammar}) {
+    grammar::Grammar g = MustParse(text);
+    for (ArmMode mode : kModes) {
+      for (bool longest : {true, false}) {
+        TaggerOptions opt;
+        opt.arm_mode = mode;
+        opt.longest_match = longest;
+        auto t = LazyDfaTagger::Create(&g, opt);
+        ASSERT_TRUE(t.ok()) << t.status();
+        // One session across inputs: later inputs run on a warm table.
+        LazyDfaSession session = t->NewSession();
+        for (int iter = 0; iter < 40; ++iter) {
+          const std::string input = RandomInput(rng, 300);
+          session.Reset();
+          ExpectSameTags(Functional(g, opt, input),
+                         FeedRandomChunks(session, input, rng));
+        }
+      }
+    }
+  }
+}
+
+// A sink that stops after `limit` tags, fed as two chunks split at `cut`:
+// the tags and the byte ledger must match the functional session exactly,
+// including when the stop lands inside one byte's emission list.
+template <typename Session>
+std::pair<std::vector<Tag>, uint64_t> StopRun(Session session,
+                                              std::string_view input,
+                                              size_t cut, size_t limit) {
+  std::vector<Tag> tags;
+  const TagSink sink = [&](const Tag& tag) {
+    tags.push_back(tag);
+    return tags.size() < limit;
+  };
+  session.Feed(input.substr(0, cut), sink);
+  session.Feed(input.substr(cut), sink);
+  session.Finish(sink);
+  return {tags, session.bytes_consumed()};
+}
+
+TEST(LazyDfaFlatTableTest, EarlyStopInsideEmissionListAtChunkBoundary) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  const std::string input = "abc de 12+3 fgh";
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    auto functional = FunctionalTagger::Create(&g, opt);
+    auto lazy = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(functional.ok() && lazy.ok());
+    const std::vector<Tag> all = functional->TagAll(input);
+    // "abc" ends at byte 2 as both A and B: the list is emitted on the
+    // look-ahead byte 3, so cut = 3 starts a chunk with it.
+    ASSERT_GE(all.size(), 2u);
+    EXPECT_EQ(all[0].end, all[1].end);
+    for (size_t cut = 1; cut < input.size(); ++cut) {
+      for (size_t limit = 1; limit <= all.size(); ++limit) {
+        const auto want =
+            StopRun(functional->NewSession(), input, cut, limit);
+        const auto got = StopRun(lazy->NewSession(), input, cut, limit);
+        ExpectSameTags(want.first, got.first);
+        EXPECT_EQ(want.second, got.second)
+            << "cut " << cut << " limit " << limit;
+      }
+    }
+  }
+}
+
+// A lazy artifact baked with `aot_budget` states, loaded back.
+artifact::LoadedTagger LoadWithAot(const grammar::Grammar& g,
+                                   const TaggerOptions& opt,
+                                   uint32_t aot_budget) {
+  auto fused = FusedTagger::Create(&g, opt);
+  EXPECT_TRUE(fused.ok()) << fused.status();
+  artifact::SerializeRequest req;
+  req.backend = artifact::kArtifactLazyDfa;
+  req.aot_state_budget = aot_budget;
+  auto bytes = artifact::SerializeTagger(*fused, req);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  auto loaded = artifact::LoadFromMemory(*bytes);
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  return std::move(loaded).value();
+}
+
+TEST(LazyDfaFlatTableTest, RuntimeBuildsExtendSmallBakedPrefix) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0xa07);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, 4);
+    ASSERT_NE(loaded.engine->aot(), nullptr);
+    LazyDfaSession session = loaded.engine->NewSession();
+    EXPECT_EQ(session.aot_states(), 4u);
+    for (int iter = 0; iter < 40; ++iter) {
+      const std::string input = RandomInput(rng, 300);
+      session.Reset();
+      ExpectSameTags(Functional(g, opt, input),
+                     FeedRandomChunks(session, input, rng));
+    }
+    // Four baked states cannot cover the reachable set: the session built
+    // its own states above the prefix.
+    EXPECT_GT(session.cache_states(), 0u);
+    EXPECT_FALSE(session.fallback_active());
+  }
+}
+
+TEST(LazyDfaFlatTableTest, FlushFromBakedStateRestoresPrefix) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0xf105);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    // A starvation budget flushes every few builds, often while the
+    // current state is one of the baked ones; never give up caching.
+    opt.dfa_cache_bytes = 1 << 9;
+    opt.dfa_flush_fallback = 1u << 30;
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, 4);
+    LazyDfaSession session = loaded.engine->NewSession();
+    for (int iter = 0; iter < 40; ++iter) {
+      const std::string input = RandomInput(rng, 300);
+      session.Reset();
+      ExpectSameTags(Functional(g, opt, input),
+                     FeedRandomChunks(session, input, rng));
+    }
+    EXPECT_GT(session.cache_flushes(), 0u);
+    EXPECT_FALSE(session.fallback_active());
+  }
+}
+
+// Each session's copy of the baked prefix is real memory the resource
+// budget ladder must see: charged on creation, still charged after the
+// flushes that restore it, released with the session.
+TEST(LazyDfaFlatTableTest, BakedPrefixIsChargedToResourceBudget) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  core::resilience::ResourceBudget& budget =
+      core::resilience::ResourceBudget::Process();
+  TaggerOptions opt;
+  opt.arm_mode = ArmMode::kScan;
+  opt.dfa_cache_bytes = 1 << 9;
+  opt.dfa_flush_fallback = 1u << 30;
+  artifact::LoadedTagger loaded = LoadWithAot(g, opt, 32);
+  const AotDfaTable* aot = loaded.engine->aot();
+  ASSERT_NE(aot, nullptr);
+  ASSERT_GT(aot->emit_pool.size(), 0u);
+  const size_t prefix = aot->PrefixBytes();
+  EXPECT_EQ(prefix, aot->states.size() * aot->num_classes * 8 +
+                        aot->emit_spans.size() * sizeof(EmitSpan) +
+                        aot->emit_pool.size() * sizeof(int32_t));
+  const uint64_t before = budget.used();
+  {
+    LazyDfaSession session = loaded.engine->NewSession();
+    EXPECT_EQ(budget.used() - before, prefix + session.cache_bytes());
+    Rng rng(0xb0d6e7);
+    for (int iter = 0; iter < 20; ++iter) {
+      const std::string input = RandomInput(rng, 300);
+      session.Reset();
+      ExpectSameTags(Functional(g, opt, input),
+                     FeedRandomChunks(session, input, rng));
+    }
+    EXPECT_GT(session.cache_flushes(), 0u);
+    EXPECT_EQ(budget.used() - before, prefix + session.cache_bytes());
+  }
+  EXPECT_EQ(budget.used(), before);
+}
+
+// Attribution must count exactly what the pre-flat-table session counted:
+// one DFA hit or miss per stepped byte (skipped bytes count neither) and
+// every replayed emission per token. The hit/miss pairs are the values
+// the region-walking session produced for this input, cold then warm.
+TEST(LazyDfaFlatTableTest, AttributionCountsAreUnchanged) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  const std::string input = "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
+  struct Want {
+    ArmMode mode;
+    uint64_t cold_hits, cold_misses, warm_hits;
+  };
+  const Want kWant[] = {
+      {ArmMode::kAnchored, 0, 11, 11},
+      {ArmMode::kScan, 24, 20, 44},
+      {ArmMode::kResync, 23, 21, 44},
+  };
+  obs::AttributionTable& table = obs::AttributionTable::Default();
+  const bool was_enabled = obs::AttributionTable::enabled();
+  obs::AttributionTable::set_enabled(true);
+  for (const Want& w : kWant) {
+    TaggerOptions opt;
+    opt.arm_mode = w.mode;
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    const std::vector<Tag> want = Functional(g, opt, input);
+    std::map<std::string, uint64_t> want_matches;
+    for (const Tag& tag : want) {
+      ++want_matches[g.tokens()[static_cast<size_t>(tag.token)].name];
+    }
+    LazyDfaSession session = t->NewSession();
+    for (int pass = 0; pass < 2; ++pass) {
+      table.Clear();
+      session.Reset();  // samples the switch
+      std::vector<Tag> got;
+      const TagSink sink = [&](const Tag& tag) {
+        got.push_back(tag);
+        return true;
+      };
+      session.Feed(input, sink);
+      session.Finish(sink);  // merges into the table
+      ExpectSameTags(want, got);
+      EXPECT_EQ(table.dfa_cache_hits(), pass == 0 ? w.cold_hits : w.warm_hits)
+          << "pass " << pass;
+      EXPECT_EQ(table.dfa_cache_misses(), pass == 0 ? w.cold_misses : 0u)
+          << "pass " << pass;
+      std::map<std::string, uint64_t> got_matches;
+      for (const obs::AttributionTable::Row& row : table.RankedTokens()) {
+        got_matches[row.name] = row.hits;
+      }
+      EXPECT_EQ(got_matches, want_matches) << "pass " << pass;
+    }
+  }
+  table.Clear();
+  obs::AttributionTable::set_enabled(was_enabled);
+}
+
+// dfa_cache_bytes bounds the session's state count; a budget whose worst
+// case overflows the 31-bit premultiplied row offsets is rejected up
+// front instead of running the process out of memory first.
+TEST(LazyDfaFlatTableTest, RejectsCacheBudgetBeyondRowEncoding) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  for (size_t bytes : {~size_t{0}, size_t{1} << 34}) {
+    TaggerOptions opt;
+    opt.dfa_cache_bytes = bytes;
+    auto fused = FusedTagger::Create(&g, opt);
+    ASSERT_FALSE(fused.ok());
+    EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(LazyDfaTagger::Create(&g, opt).ok());
+  }
+  TaggerOptions opt;
+  opt.dfa_cache_bytes = size_t{1} << 33;  // 8 GiB: still representable
+  EXPECT_TRUE(FusedTagger::Create(&g, opt).ok());
 }
 
 }  // namespace
