@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/resilience/budget.h"
 #include "tagger/artifact/cache.h"
 #include "obs/metrics.h"
 #include "tagger/functional_model.h"
@@ -396,6 +397,11 @@ void RecordSimdComparison(bool smoke) {
 //      a *fresh* lazy-DFA session's first megabyte runs within 10% of its
 //      warmed-up steady state (cfgtag_bench_artifact_coldstart_ratio) —
 //      the baked table replaces the cache-fill transient.
+// It also records what one fresh loaded session holds in the process
+// resource budget after its cold pass (cfgtag_bench_artifact_session_bytes,
+// CI-gated at a quarter of the artifact): sessions import baked edges into
+// their own table as they visit them, so the charge follows the states a
+// pass touches, not the size of the baked table.
 // Tag equivalence between the compiled and the loaded tagger is asserted
 // before anything is timed.
 void RecordArtifactComparison(bool smoke) {
@@ -474,10 +480,17 @@ void RecordArtifactComparison(bool smoke) {
   // median(cold)/median(warm) would compare passes seconds apart.
   const int reps = smoke ? 11 : 15;
   std::vector<double> cold, warm, ratios;
+  const core::resilience::ResourceBudget& budget =
+      core::resilience::ResourceBudget::Process();
+  uint64_t session_bytes = 0;
   for (int r = 0; r < reps; ++r) {
     core::CompiledTagger fresh =
         ValueOrDie(core::CompiledTagger::LoadArtifact(path), "artifact load");
+    // The pass runs on one pooled session, which keeps its charge until
+    // `fresh` goes.
+    const uint64_t charged = budget.used();
     const double c = time_pass(fresh);
+    session_bytes = budget.used() - charged;
     time_pass(fresh);  // finish warming the runtime cache
     const double w = time_pass(fresh);
     cold.push_back(c);
@@ -496,10 +509,12 @@ void RecordArtifactComparison(bool smoke) {
       "\nArtifact cold start (lazy-dfa x1, %zu KB, AOT budget %u)\n"
       "  compile+bake %.1f ms, load %.2f ms (%.0fx), artifact %zu bytes\n"
       "  first pass %.1f MB/s, warm %.1f MB/s, cold/warm %.3f "
-      "(acceptance >= 0.9)\n",
+      "(acceptance >= 0.9)\n"
+      "  session charge after the cold pass %llu bytes (gate <= 1/4 of "
+      "the artifact)\n",
       cold_input.size() >> 10, opt.tagger.aot_state_budget, compile_secs * 1e3,
       load_secs * 1e3, load_speedup, bytes.size(), cold_mbps, warm_mbps,
-      coldstart_ratio);
+      coldstart_ratio, static_cast<unsigned long long>(session_bytes));
 
   reg.GetGauge("cfgtag_bench_artifact_compile_seconds",
                "Wall time of the cache-miss path: compile the XML-RPC "
@@ -516,6 +531,10 @@ void RecordArtifactComparison(bool smoke) {
   reg.GetGauge("cfgtag_bench_artifact_bytes",
                "Size of the serialized lazy-DFA artifact")
       ->Set(static_cast<double>(bytes.size()));
+  reg.GetGauge("cfgtag_bench_artifact_session_bytes",
+               "Resource-budget charge of one fresh loaded session after "
+               "its cold pass (CI gate: <= 1/4 of the artifact bytes)")
+      ->Set(static_cast<double>(session_bytes));
   reg.GetGauge("cfgtag_bench_artifact_coldstart_mbps{phase=\"cold\"}",
                "Fresh-session first-pass MB/s out of the baked AOT table")
       ->Set(cold_mbps);

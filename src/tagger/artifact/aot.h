@@ -10,7 +10,7 @@
 namespace cfgtag::tagger::artifact {
 
 // The ahead-of-time determinized DFA in build form (vectors, not views):
-// exactly the four pools AotDfaTable serves at run time. State 0 is the
+// exactly the four pools AotDfaTable views at run time. State 0 is the
 // stream-start configuration.
 struct AotDfa {
   std::vector<DfaStateInfo> states;
@@ -20,9 +20,9 @@ struct AotDfa {
 };
 
 // Walks the reachable (machine configuration x byte class) product of the
-// fused engine breadth-first, interning states and baking transitions —
-// the same step (and the same hashing, dfa_state.h) a LazyDfaSession runs
-// on a cache miss, done once at serialize time. `max_states` bounds the
+// fused engine breadth-first, interning states and baking transitions with
+// the DfaStates builder a LazyDfaSession runs on a cache miss, done once at
+// serialize time. `max_states` bounds the
 // interned set: transitions whose successor would exceed the budget are
 // left unbuilt (next = -1) for the loading session to build. With
 // max_states == 0 the result is empty (AOT disabled).

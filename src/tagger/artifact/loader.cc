@@ -247,8 +247,8 @@ class Loader {
         hdr.num_tokens == 0 || hdr.num_words == 0) {
       return InvalidArgumentError("artifact: degenerate table shape");
     }
-    CFGTAG_RETURN_IF_ERROR(CheckDfaTableRange(
-        hdr.dfa_cache_bytes, hdr.aot_states, hdr.num_classes));
+    CFGTAG_RETURN_IF_ERROR(
+        CheckDfaTableRange(hdr.dfa_cache_bytes, hdr.num_classes));
     for (int b = 0; b < 256; ++b) {
       if (hdr.class_of[b] >= hdr.num_classes) {
         return OutOfRangeError("artifact: byte class out of range");
@@ -428,10 +428,11 @@ class Loader {
       }
       aot = std::make_shared<AotDfaTable>();
       aot->states = states;
+      aot->trans = trans;
       aot->snap_pool = snap;
       aot->emit_pool = emit;
       aot->num_classes = nc;
-      aot->Prepare(trans);
+      aot->Prepare();
     } else if (sec_aot_states != nullptr || secs.Find(kSecAotTrans) ||
                secs.Find(kSecAotSnap) || secs.Find(kSecAotEmit)) {
       return InvalidArgumentError("artifact: unexpected AOT section");

@@ -3,16 +3,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
-#include "common/hash.h"
 #include "common/status.h"
 #include "tagger/fused_model.h"
 
 namespace cfgtag::tagger {
 
-// An interned lazy-DFA configuration, shared between the runtime session
-// cache (src/tagger/lazy_dfa.cc) and the ahead-of-time determinizer that
-// bakes states into saved artifacts (src/tagger/artifact/). Snapshot words
+// An interned lazy-DFA configuration, built by DfaStates (below) for both
+// the runtime session cache (src/tagger/lazy_dfa.cc) and the ahead-of-time
+// determinizer that bakes states into saved artifacts
+// (src/tagger/artifact/). Snapshot words
 // live in the owning pool at [snap_begin, snap_begin + num_state +
 // num_armed): state words first, both runs in ascending word order with
 // nonzero bits — the canonical form FusedSession::SnapshotConfig produces,
@@ -35,8 +37,9 @@ static_assert(sizeof(DfaStateInfo) == 24, "DfaStateInfo is serialized");
 // the tags the step emits, as token ids into the AOT emission pool (the
 // end offset is the stream position at replay time, so only the ids are
 // interned). next = -1 means outside the AOT budget. Sessions never step
-// these rows directly: AotDfaTable::Prepare converts them at load into
-// the flat edge encoding below.
+// these rows directly: a session's first visit to a built baked edge
+// imports its target configuration and emissions into the session's own
+// table (see LazyDfaSession::BuildTransition).
 struct DfaTrans {
   int32_t next = -1;
   uint32_t emit_begin = 0;
@@ -71,49 +74,119 @@ inline uint32_t EncodeEdge(const DfaStateInfo& src, const DfaStateInfo& dst,
 // row offsets. A session charges at least 8 bytes per edge (the row plus
 // its emission ref) to dfa_cache_bytes and interns at most two states past
 // the budget before it flushes, so its rows never exceed dfa_cache_bytes /
-// 8 + 2 * num_classes edges; baked states add aot_states * num_classes.
-// num_classes is at most 256 (one class per byte value), so the sum below
-// cannot wrap.
+// 8 + 2 * num_classes edges. num_classes is at most 256 (one class per
+// byte value), so the sum below cannot wrap.
 inline Status CheckDfaTableRange(uint64_t dfa_cache_bytes,
-                                 uint64_t aot_states, size_t num_classes) {
+                                 size_t num_classes) {
   const uint64_t limit = kSlowEdge - 1;
-  const uint64_t c = num_classes;
-  if (aot_states > limit ||
-      dfa_cache_bytes / 8 + (aot_states + 2) * c > limit) {
+  if (dfa_cache_bytes / 8 + 2 * uint64_t{num_classes} > limit) {
     return InvalidArgumentError(
         "dfa_cache_bytes too large for the 31-bit lazy-DFA row encoding");
   }
   return Status::Ok();
 }
 
-// Configuration hash over the canonical sparse runs. Baked AOT states
-// store this value, and the runtime probes them with hashes computed by
-// this same function — the two must never diverge (artifact format break).
-inline uint64_t HashDfaConfig(const WordBits* state, size_t num_state,
-                              const WordBits* armed, size_t num_armed,
-                              bool prev_delim, int16_t pending_cls) {
-  uint64_t h = 0x243f6a8885a308d3ULL;
-  h = HashMix64(h, (static_cast<uint64_t>(num_state) << 32) ^
-                       static_cast<uint64_t>(num_armed));
-  for (size_t i = 0; i < num_state; ++i) {
-    h = HashMix64(h, state[i].bits);
-    h = HashMix64(h, state[i].word);
-  }
-  for (size_t i = 0; i < num_armed; ++i) {
-    h = HashMix64(h, ~armed[i].bits);
-    h = HashMix64(h, armed[i].word);
-  }
-  h = HashMix64(h, (static_cast<uint64_t>(prev_delim) << 16) ^
-                       static_cast<uint64_t>(static_cast<uint16_t>(pending_cls)));
-  return h;
-}
+constexpr uint32_t kNoDfaState = std::numeric_limits<uint32_t>::max();
 
-inline bool SameWordRun(const WordBits* a, const WordBits* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i].word != b[i].word || a[i].bits != b[i].bits) return false;
+// Hash index over a set of interned states: configuration hash -> ids.
+// Open addressing with linear probing in a power-of-two table kept at most
+// half full. A slot packs the hash's high 32 bits, which also pick its
+// home slot, over the id, so a probe reads one flat array and checks a
+// candidate against the states only when those bits match.
+class DfaIndex {
+ public:
+  // Upper bound on the slot bytes per indexed state: four slots right
+  // after the table grows, two just before it grows again.
+  static constexpr size_t kBytesPerState = 4 * sizeof(uint64_t);
+
+  void Clear() {
+    slots_.clear();
+    size_ = 0;
   }
-  return true;
-}
+
+  void Insert(uint64_t hash, uint32_t id);
+
+  // The first id filed under `hash` for which match(id) holds, or
+  // kNoDfaState.
+  template <typename Match>
+  uint32_t Find(uint64_t hash, Match match) const {
+    if (slots_.empty()) return kNoDfaState;
+    const uint64_t key = hash >> 32;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = key & mask;; i = (i + 1) & mask) {
+      const uint64_t slot = slots_[i];
+      if (slot == kEmpty) return kNoDfaState;
+      const uint32_t id = static_cast<uint32_t>(slot);
+      if (slot >> 32 == key && match(id)) return id;
+    }
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
+// The id of the state among `states` (snapshots in `pool`, hashed into
+// `index`) equal to the configuration `probe` whose snapshot words are at
+// `words`, or kNoDfaState. probe.hash must be set; probe.snap_begin is
+// ignored.
+uint32_t FindDfaState(const DfaIndex& index, const DfaStateInfo* states,
+                      const WordBits* pool, const DfaStateInfo& probe,
+                      const WordBits* words);
+
+// The one lazy-DFA state builder. LazyDfaSession interns with it at run
+// time and the AOT determinizer at serialize time, so baked and runtime
+// states always agree. It owns the interned states, their snapshot pool
+// and hash index, and one working configuration: Start, Load or Step set
+// it, Intern maps it to a state id. Ids are dense and in interning order.
+class DfaStates {
+ public:
+  size_t size() const { return states_.size(); }
+  const DfaStateInfo& operator[](uint32_t id) const { return states_[id]; }
+  // The snapshot words of `info`: its state run, then its armed run.
+  const WordBits* words(const DfaStateInfo& info) const {
+    return pool_.data() + info.snap_begin;
+  }
+  const std::vector<DfaStateInfo>& states() const { return states_; }
+  const std::vector<WordBits>& pool() const { return pool_; }
+  const DfaIndex& index() const { return index_; }
+
+  // Working configuration := the stream start: no live positions, start
+  // tokens armed unless in scan mode, no pending byte.
+  void Start(const FusedTagger& fused);
+
+  // Working configuration := a copy of `info`, whose snapshot words are
+  // at `words` (in this set's pool or any other).
+  void Load(const DfaStateInfo& info, const WordBits* words);
+
+  // Working configuration := the successor of state `id` on byte class
+  // `cls`; the tokens the step emits are appended to *emit. Out of a
+  // state with no pending byte the step is an absorb: the byte becomes
+  // the pending look-ahead, nothing else changes and nothing emits.
+  // Otherwise it is one real fused step on the class representatives,
+  // exact for every byte of the class since the engine only reads byte
+  // classes. The step runs on `scratch` (a session of the same tagger)
+  // with attribution off: every emission it produces is replayed, and
+  // counted, later.
+  void Step(uint32_t id, uint8_t cls, FusedSession* scratch,
+            std::vector<int32_t>* emit);
+
+  // The id of the state equal to the working configuration. A new state
+  // is appended (its id is the old size()) unless size() is already
+  // `max_states`, in which case the result is kNoDfaState.
+  uint32_t Intern(size_t max_states = std::numeric_limits<size_t>::max());
+
+  // Drops every interned state; the working configuration survives.
+  void Clear();
+
+ private:
+  std::vector<DfaStateInfo> states_;
+  std::vector<WordBits> pool_;
+  DfaIndex index_;
+  DfaStateInfo cfg_;  // the working configuration; snap_begin unused
+  std::vector<WordBits> cfg_words_;
+};
 
 }  // namespace cfgtag::tagger
 

@@ -75,7 +75,7 @@ StatusOr<FusedTagger> FusedTagger::Create(const grammar::Grammar* grammar,
   t.classifier_ = ByteClassifier::Build(classes);
   const size_t num_classes = t.classifier_.NumClasses();
   CFGTAG_RETURN_IF_ERROR(
-      CheckDfaTableRange(options.dfa_cache_bytes, 0, num_classes));
+      CheckDfaTableRange(options.dfa_cache_bytes, num_classes));
   s.class_is_delim.assign(num_classes, 0);
   for (size_t cls = 0; cls < num_classes; ++cls) {
     s.class_is_delim[cls] =
@@ -531,9 +531,8 @@ void FusedSession::ProcessClass(uint8_t cls, bool has_next, uint8_t next_cls,
   ++pos_;
 }
 
-void FusedSession::LoadConfig(const WordBits* state, size_t num_state,
-                              const WordBits* armed, size_t num_armed,
-                              bool prev_delim) {
+void FusedSession::LoadConfig(const WordBits* words, size_t num_state,
+                              size_t num_armed, bool prev_delim) {
   // Zero the currently marked armed words (the OR-accumulate invariant
   // requires unmarked words to be zero); state words are only read where
   // marked, so clearing their meta suffices.
@@ -548,9 +547,10 @@ void FusedSession::LoadConfig(const WordBits* state, size_t num_state,
   }
   std::fill(state_meta_.begin(), state_meta_.end(), 0);
   for (size_t k = 0; k < num_state; ++k) {
-    state_[state[k].word] = state[k].bits;
-    state_meta_[state[k].word >> 6] |= 1ULL << (state[k].word & 63);
+    state_[words[k].word] = words[k].bits;
+    state_meta_[words[k].word >> 6] |= 1ULL << (words[k].word & 63);
   }
+  const WordBits* armed = words + num_state;
   for (size_t k = 0; k < num_armed; ++k) {
     armed_first_[armed[k].word] = armed[k].bits;
     armed_meta_[armed[k].word >> 6] |= 1ULL << (armed[k].word & 63);
@@ -564,28 +564,30 @@ void FusedSession::LoadConfig(const WordBits* state, size_t num_state,
   pending_ = 0;
 }
 
-void FusedSession::SnapshotConfig(std::vector<WordBits>* state,
-                                  std::vector<WordBits>* armed) const {
+size_t FusedSession::SnapshotConfig(std::vector<WordBits>* words) const {
+  const size_t begin = words->size();
   for (size_t mi = 0; mi < state_meta_.size(); ++mi) {
     uint64_t mbits = state_meta_[mi];
     while (mbits) {
       const size_t w = mi * 64 + static_cast<size_t>(__builtin_ctzll(mbits));
       mbits &= mbits - 1;
       if (state_[w]) {
-        state->push_back(WordBits{static_cast<uint32_t>(w), state_[w]});
+        words->push_back(WordBits{static_cast<uint32_t>(w), state_[w]});
       }
     }
   }
+  const size_t num_state = words->size() - begin;
   for (size_t mi = 0; mi < armed_meta_.size(); ++mi) {
     uint64_t mbits = armed_meta_[mi];
     while (mbits) {
       const size_t w = mi * 64 + static_cast<size_t>(__builtin_ctzll(mbits));
       mbits &= mbits - 1;
       if (armed_first_[w]) {
-        armed->push_back(WordBits{static_cast<uint32_t>(w), armed_first_[w]});
+        words->push_back(WordBits{static_cast<uint32_t>(w), armed_first_[w]});
       }
     }
   }
+  return num_state;
 }
 
 void FusedSession::Feed(std::string_view chunk, const TagSink& sink) {

@@ -20,10 +20,11 @@ class FusedTagger;
 class FusedSessionPool;
 class LazyDfaSession;
 
+class DfaStates;
+
 namespace artifact {
 class Loader;
 class Writer;
-class AotBuilder;
 }  // namespace artifact
 
 // One (word, bits) entry of a sparse bitmap pattern — the unit of the
@@ -66,12 +67,12 @@ class FusedSession {
   const FusedTagger* tagger() const { return tagger_; }
 
  private:
-  // The lazy-DFA backend drives a scratch FusedSession directly: it loads
-  // an interned configuration, takes one ProcessByte step, and snapshots
-  // the result (see src/tagger/lazy_dfa.cc). The AOT determinizer does the
-  // same at artifact-build time (src/tagger/artifact/aot.cc).
+  // The lazy-DFA state builder drives a scratch FusedSession directly: it
+  // loads an interned configuration, takes one ProcessByte step, and
+  // snapshots the result (see DfaStates::Step). LazyDfaSession also loads
+  // configurations into its scratch session to continue a stream fused.
+  friend class DfaStates;
   friend class LazyDfaSession;
-  friend class artifact::AotBuilder;
 
   void ProcessByte(unsigned char c, bool has_next, unsigned char next_c,
                    const TagSink& sink);
@@ -90,17 +91,18 @@ class FusedSession {
   void FlushAttribution();
 
   // Replaces the machine configuration with an externally captured one:
-  // sparse (word, bits) lists for the state and armed bitmaps, plus the
-  // delimiter flag. Every listed bits value must be nonzero. Clears the
-  // pending byte, stop and finish flags; leaves pos_ untouched (set it
-  // separately when stream offsets matter).
-  void LoadConfig(const WordBits* state, size_t num_state,
-                  const WordBits* armed, size_t num_armed, bool prev_delim);
+  // `words` holds num_state sparse (word, bits) entries of the state bitmap
+  // followed by num_armed of the armed bitmap, plus the delimiter flag.
+  // Every listed bits value must be nonzero. Clears the pending byte, stop
+  // and finish flags; leaves pos_ untouched (set it separately when stream
+  // offsets matter).
+  void LoadConfig(const WordBits* words, size_t num_state, size_t num_armed,
+                  bool prev_delim);
 
-  // Appends the live (word, bits) pairs of the state and armed bitmaps in
-  // ascending word order. Round-trips through LoadConfig.
-  void SnapshotConfig(std::vector<WordBits>* state,
-                      std::vector<WordBits>* armed) const;
+  // Appends the live (word, bits) pairs of the state bitmap, then those of
+  // the armed bitmap, each run in ascending word order, and returns the
+  // number of state entries. Round-trips through LoadConfig.
+  size_t SnapshotConfig(std::vector<WordBits>* words) const;
 
   const FusedTagger* tagger_;
   // Fused state bitmaps, double-buffered. Only words whose meta bit is set
@@ -202,13 +204,12 @@ class FusedTagger {
 
  private:
   friend class FusedSession;
-  friend class LazyDfaSession;
   // The artifact writer snapshots these tables into a flat file; the loader
   // builds a FusedTagger whose table views point into the mmap'd file
   // instead of heap Storage (src/tagger/artifact/).
   friend class artifact::Loader;
   friend class artifact::Writer;
-  friend class artifact::AotBuilder;
+  friend class DfaStates;
 
   FusedTagger(const grammar::Grammar* grammar, TaggerOptions options)
       : grammar_(grammar), options_(options) {}

@@ -8,38 +8,10 @@
 
 namespace cfgtag::tagger {
 
-namespace {
-
-// Approximate per-state index cost (one unordered_multimap node plus
-// bucket share) folded into the cache budget accounting.
-constexpr size_t kIndexNodeBytes = 48;
-
-// The configuration hash/equality primitives live in tagger/dfa_state.h,
-// shared with the AOT determinizer so baked and runtime states always
-// agree.
-
-}  // namespace
-
-void AotDfaTable::Prepare(TableView<DfaTrans> trans) {
-  index.clear();
+void AotDfaTable::Prepare() {
+  index.Clear();
   for (size_t i = 0; i < states.size(); ++i) {
-    index.emplace(states[i].hash, static_cast<int32_t>(i));
-  }
-  next.assign(trans.size(), kUnbuiltEdge);
-  emit_ref.assign(trans.size(), 0);
-  emit_spans.assign(1, EmitSpan{});
-  for (size_t edge = 0; edge < trans.size(); ++edge) {
-    const DfaTrans& tr = trans[edge];
-    if (tr.next < 0) continue;
-    const DfaStateInfo& src = states[edge / num_classes];
-    const DfaStateInfo& dst = states[static_cast<size_t>(tr.next)];
-    if (tr.emit_count != 0) {
-      emit_ref[edge] = static_cast<uint32_t>(emit_spans.size());
-      emit_spans.push_back(EmitSpan{tr.emit_begin, tr.emit_count});
-    }
-    next[edge] = EncodeEdge(
-        src, dst, static_cast<uint32_t>(tr.next * num_classes),
-        tr.emit_count != 0);
+    index.Insert(states[i].hash, static_cast<uint32_t>(i));
   }
 }
 
@@ -114,57 +86,30 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
     scratch_.Rebind(&tagger_->fused());
     num_classes_ = tagger_->fused().NumByteClasses();
     aot_ = tagger_->aot();
-    num_aot_ = aot_ ? static_cast<uint32_t>(aot_->states.size()) : 0;
     flushes_ = 0;
+    imports_ = 0;
     // A non-caching tagger's sessions start (and stay) on the fused path.
     fallback_ = !tagger_->caches();
-    // The table holds another tagger's rows: ClearCache must copy the
-    // whole prefix, not patch it.
-    next_.clear();
     ClearCache();
   }
   Reset();
 }
 
 void LazyDfaSession::ClearCache() {
-  states_.clear();
-  snap_pool_.clear();
-  index_.clear();
+  dfa_.Clear();
   cache_bytes_ = 0;
   budget_.ReleaseAll();
-  const size_t prefix_edges = aot_ != nullptr ? aot_->next.size() : 0;
   if (fallback_) {
-    // The fused path never reads the table; free it, baked prefix included.
+    // The fused path never reads the table; free it.
     std::vector<uint32_t>().swap(next_);
     std::vector<uint32_t>().swap(emit_ref_);
+    std::vector<uint32_t>().swap(twin_);
     std::vector<EmitSpan>().swap(emit_spans_);
     std::vector<int32_t>().swap(emit_pool_);
-    patched_.clear();
-  } else if (aot_ != nullptr) {
-    if (next_.size() >= prefix_edges) {
-      // A flush: the prefix is in place and differs from the tagger's
-      // rows only where runtime builds filled its unbuilt edges.
-      for (const uint32_t edge : patched_) {
-        next_[edge] = aot_->next[edge];
-        emit_ref_[edge] = aot_->emit_ref[edge];
-      }
-      next_.resize(prefix_edges);
-      emit_ref_.resize(prefix_edges);
-      emit_spans_.resize(aot_->emit_spans.size());
-      emit_pool_.resize(aot_->emit_pool.size());
-    } else {
-      next_.assign(aot_->next.begin(), aot_->next.end());
-      emit_ref_.assign(aot_->emit_ref.begin(), aot_->emit_ref.end());
-      emit_spans_.assign(aot_->emit_spans.begin(), aot_->emit_spans.end());
-      emit_pool_.assign(aot_->emit_pool.begin(), aot_->emit_pool.end());
-    }
-    patched_.clear();
-    // Not part of cache_bytes_ (a flush could not shrink it), but real
-    // memory per session: the budget ladder must see it.
-    budget_.Add(aot_->PrefixBytes());
   } else {
     next_.clear();
     emit_ref_.clear();
+    twin_.clear();
     emit_spans_.assign(1, EmitSpan{});
     emit_pool_.clear();
   }
@@ -191,89 +136,37 @@ void LazyDfaSession::Reset() {
   // Build steps must never count: every emission they produce is replayed
   // (and counted) from the cache.
   scratch_.attr_on_ = false;
-  // Intern (or find) the stream-start configuration: no live positions,
-  // start tokens armed unless in scan mode, no pending byte.
-  const FusedTagger& f = tagger_->fused();
-  tmp_state_.clear();
-  tmp_armed_.clear();
-  if (f.options().arm_mode != ArmMode::kScan) {
-    tmp_armed_.assign(f.start_first_.begin(), f.start_first_.end());
-    std::sort(tmp_armed_.begin(), tmp_armed_.end(),
-              [](const WordBits& a, const WordBits& b) {
-                return a.word < b.word;
-              });
-  }
-  state_ = static_cast<uint32_t>(
-      InternState(tmp_state_, tmp_armed_, /*prev_delim=*/false,
-                  /*pending_cls=*/-1) *
-      num_classes_);
+  // Intern (or find) the stream-start configuration.
+  dfa_.Start(tagger_->fused());
+  state_ = static_cast<uint32_t>(InternState(kNoDfaState) * num_classes_);
 }
 
-uint32_t LazyDfaSession::InternState(const std::vector<WordBits>& state,
-                                     const std::vector<WordBits>& armed,
-                                     bool prev_delim, int16_t pending_cls) {
-  const uint8_t pd = prev_delim ? 1 : 0;
-  const uint64_t h = HashDfaConfig(state.data(), state.size(), armed.data(),
-                                   armed.size(), prev_delim, pending_cls);
-  // Baked states first: their rows are always in the table prefix, so a
-  // hit here costs the session nothing.
-  if (aot_ != nullptr) {
-    auto range = aot_->index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      const DfaStateInfo& cand = aot_->states[static_cast<size_t>(it->second)];
-      if (cand.pending_cls == pending_cls && cand.prev_delim == pd &&
-          cand.num_state == state.size() && cand.num_armed == armed.size() &&
-          SameWordRun(aot_->snap_pool.data() + cand.snap_begin, state.data(),
-                      state.size()) &&
-          SameWordRun(aot_->snap_pool.data() + cand.snap_begin + cand.num_state,
-                      armed.data(), armed.size())) {
-        return static_cast<uint32_t>(it->second);
-      }
-    }
+uint32_t LazyDfaSession::InternState(uint32_t twin) {
+  const size_t before = dfa_.size();
+  const uint32_t id = dfa_.Intern();
+  if (dfa_.size() == before) return id;
+  const DfaStateInfo& info = dfa_[id];
+  if (twin == kNoDfaState && aot_ != nullptr) {
+    twin = aot_->Find(info, dfa_.words(info));
   }
-  auto range = index_.equal_range(h);
-  for (auto it = range.first; it != range.second; ++it) {
-    const DfaStateInfo& cand = states_[it->second];
-    if (cand.pending_cls == pending_cls && cand.prev_delim == pd &&
-        cand.num_state == state.size() && cand.num_armed == armed.size() &&
-        SameWordRun(snap_pool_.data() + cand.snap_begin, state.data(),
-                    state.size()) &&
-        SameWordRun(snap_pool_.data() + cand.snap_begin + cand.num_state,
-                    armed.data(), armed.size())) {
-      return num_aot_ + it->second;
-    }
-  }
-  DfaStateInfo info;
-  info.hash = h;
-  info.snap_begin = static_cast<uint32_t>(snap_pool_.size());
-  info.num_state = static_cast<uint32_t>(state.size());
-  info.num_armed = static_cast<uint32_t>(armed.size());
-  info.pending_cls = pending_cls;
-  info.prev_delim = pd;
-  snap_pool_.insert(snap_pool_.end(), state.begin(), state.end());
-  snap_pool_.insert(snap_pool_.end(), armed.begin(), armed.end());
-  const uint32_t local = static_cast<uint32_t>(states_.size());
-  states_.push_back(info);
+  twin_.push_back(twin);
   next_.resize(next_.size() + num_classes_, kUnbuiltEdge);
   emit_ref_.resize(emit_ref_.size() + num_classes_, 0);
-  index_.emplace(h, local);
-  const size_t charged = sizeof(DfaStateInfo) +
+  const size_t charged = sizeof(DfaStateInfo) + sizeof(uint32_t) +
                          num_classes_ * 2 * sizeof(uint32_t) +
-                         (state.size() + armed.size()) * sizeof(WordBits) +
-                         kIndexNodeBytes;
+                         (info.num_state + info.num_armed) * sizeof(WordBits) +
+                         DfaIndex::kBytesPerState;
   cache_bytes_ += charged;
   budget_.Add(charged);
   DfaCacheMetrics::Get().states->Increment();
-  return num_aot_ + local;
+  return id;
 }
 
 void LazyDfaSession::MaterializeScratch() {
   const FusedTagger& f = tagger_->fused();
-  const uint32_t id = IdOf(state_);
-  const DfaStateInfo info = Info(id);
-  const WordBits* snap = Snap(info, id);
-  scratch_.LoadConfig(snap, info.num_state, snap + info.num_state,
-                      info.num_armed, info.prev_delim != 0);
+  const DfaStateInfo& info = dfa_[IdOf(state_)];
+  scratch_.LoadConfig(dfa_.words(info), info.num_state, info.num_armed,
+                      info.prev_delim != 0);
   scratch_.pos_ = consumed_;
   scratch_.stopped_ = stopped_;
   if (info.pending_cls >= 0) {
@@ -334,26 +227,13 @@ void LazyDfaSession::Flush() {
     EnterFallback();
     return;
   }
-  const uint32_t id = IdOf(state_);
-  if (id < num_aot_) {
-    // The current state is baked: its row is part of the restored prefix,
-    // so only the session's private states drop.
-    ClearCache();
-    return;
-  }
   // Copy the current configuration out of the pools, drop everything,
   // re-intern it as the sole survivor.
-  const DfaStateInfo info = Info(id);
-  tmp_state_.assign(snap_pool_.begin() + info.snap_begin,
-                    snap_pool_.begin() + info.snap_begin + info.num_state);
-  tmp_armed_.assign(
-      snap_pool_.begin() + info.snap_begin + info.num_state,
-      snap_pool_.begin() + info.snap_begin + info.num_state + info.num_armed);
+  const uint32_t id = IdOf(state_);
+  const uint32_t twin = twin_[id];
+  dfa_.Load(dfa_[id], dfa_.words(dfa_[id]));
   ClearCache();
-  state_ = static_cast<uint32_t>(
-      InternState(tmp_state_, tmp_armed_, info.prev_delim != 0,
-                  info.pending_cls) *
-      num_classes_);
+  state_ = static_cast<uint32_t>(InternState(twin) * num_classes_);
 }
 
 bool LazyDfaSession::BuildTransition(uint8_t cls) {
@@ -369,55 +249,45 @@ bool LazyDfaSession::BuildTransition(uint8_t cls) {
     Flush();
     if (fallback_) return false;
   }
-  const FusedTagger& f = tagger_->fused();
   const uint32_t id = IdOf(state_);
-  const DfaStateInfo info = Info(id);
-  const WordBits* snap = Snap(info, id);
-  tmp_state_.clear();
-  tmp_armed_.clear();
-  tmp_emit_.clear();
-  bool next_prev_delim;
-  if (info.pending_cls < 0) {
-    // Absorb: the input byte becomes the pending look-ahead; the machine
-    // configuration is untouched and nothing emits.
-    tmp_state_.assign(snap, snap + info.num_state);
-    tmp_armed_.assign(snap + info.num_state,
-                      snap + info.num_state + info.num_armed);
-    next_prev_delim = info.prev_delim != 0;
+  const uint32_t emit_begin = static_cast<uint32_t>(emit_pool_.size());
+  const uint32_t twin = twin_[id];
+  const DfaTrans* baked =
+      twin != kNoDfaState ? &aot_->trans[size_t{twin} * num_classes_ + cls]
+                          : nullptr;
+  uint32_t next_id;
+  if (baked != nullptr && baked->next >= 0) {
+    // Import: the twin's built edge hands over the successor and its
+    // emissions, so no fused step runs. A successor already in the table
+    // is found by its twin, without a configuration compare.
+    const uint32_t dst = static_cast<uint32_t>(baked->next);
+    const DfaStateInfo& dst_info = aot_->states[dst];
+    next_id = dfa_.index().Find(
+        dst_info.hash, [this, dst](uint32_t c) { return twin_[c] == dst; });
+    if (next_id == kNoDfaState) {
+      dfa_.Load(dst_info, aot_->snap_pool.data() + dst_info.snap_begin);
+      next_id = InternState(dst);
+    }
+    const int32_t* tok = aot_->emit_pool.data() + baked->emit_begin;
+    emit_pool_.insert(emit_pool_.end(), tok, tok + baked->emit_count);
+    ++imports_;
   } else {
-    // One real fused step on the class representatives — exact for every
-    // byte of the class, since the engine only reads byte classes.
-    scratch_.LoadConfig(snap, info.num_state, snap + info.num_state,
-                        info.num_armed, info.prev_delim != 0);
-    scratch_.pos_ = 0;
-    scratch_.ProcessByte(
-        f.classifier().Representative(static_cast<uint16_t>(info.pending_cls)),
-        /*has_next=*/true, f.classifier().Representative(cls),
-        [this](const Tag& t) {
-          tmp_emit_.push_back(t.token);
-          return true;
-        });
-    scratch_.SnapshotConfig(&tmp_state_, &tmp_armed_);
-    next_prev_delim = scratch_.prev_was_delim_;
+    dfa_.Step(id, cls, &scratch_, &emit_pool_);
+    next_id = InternState(kNoDfaState);
   }
-  const uint32_t next_id = InternState(tmp_state_, tmp_armed_,
-                                       next_prev_delim,
-                                       static_cast<int16_t>(cls));
+  // The edge's emissions were appended to the pool: [emit_begin, end).
   const size_t edge = size_t{state_} + cls;
-  if (id < num_aot_) patched_.push_back(static_cast<uint32_t>(edge));
-  if (!tmp_emit_.empty()) {
+  const uint32_t emitted = static_cast<uint32_t>(emit_pool_.size()) - emit_begin;
+  if (emitted != 0) {
     emit_ref_[edge] = static_cast<uint32_t>(emit_spans_.size());
-    emit_spans_.push_back(EmitSpan{static_cast<uint32_t>(emit_pool_.size()),
-                                   static_cast<uint32_t>(tmp_emit_.size())});
-    emit_pool_.insert(emit_pool_.end(), tmp_emit_.begin(), tmp_emit_.end());
-    const size_t list_bytes =
-        sizeof(EmitSpan) + tmp_emit_.size() * sizeof(int32_t);
+    emit_spans_.push_back(EmitSpan{emit_begin, emitted});
+    const size_t list_bytes = sizeof(EmitSpan) + emitted * sizeof(int32_t);
     cache_bytes_ += list_bytes;
     budget_.Add(list_bytes);
   }
-  next_[edge] = EncodeEdge(info, Info(next_id),
+  next_[edge] = EncodeEdge(dfa_[id], dfa_[next_id],
                            static_cast<uint32_t>(next_id * num_classes_),
-                           !tmp_emit_.empty());
+                           emitted != 0);
   return true;
 }
 
@@ -510,9 +380,9 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
   uint64_t base = consumed_;
   const uint32_t* next = next_.data();
   uint32_t s = state_;
-  bool idle = IdleEligible(Info(IdOf(s)));
+  bool idle = IdleEligible(dfa_[IdOf(s)]);
   while (p < end) {
-    if (idle) p = SkipIdle(Info(IdOf(s)), p, end);
+    if (idle) p = SkipIdle(dfa_[IdOf(s)], p, end);
     // The warm loop: fast edges never emit, never enter an idle-eligible
     // state and never leave the stream-start state.
     const unsigned char* const run = p;
@@ -544,7 +414,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
     } else if (attr_on_) {
       ++attr_dfa_hits_;
     }
-    if (Info(IdOf(s)).pending_cls < 0) {
+    if (dfa_[IdOf(s)].pending_cls < 0) {
       --base;  // absorb: the byte only becomes the pending look-ahead
     } else if (const uint32_t ref = emit_ref_[s + cls]; ref != 0) {
       const EmitSpan span = emit_spans_[ref];
@@ -555,7 +425,7 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
     s = e & ~kSlowEdge;
     ++p;
     if (stopped_) break;
-    idle = IdleEligible(Info(IdOf(s)));
+    idle = IdleEligible(dfa_[IdOf(s)]);
   }
   state_ = s;
   consumed_ = base + static_cast<uint64_t>(p - begin);
@@ -570,7 +440,7 @@ void LazyDfaSession::Finish(const TagSink& sink) {
     FlushAttribution();
     return;
   }
-  if (!stopped_ && Info(IdOf(state_)).pending_cls >= 0) {
+  if (!stopped_ && dfa_[IdOf(state_)].pending_cls >= 0) {
     // One real fused step with no look-ahead; not worth caching (once per
     // stream), and the class representative is again exact. The scratch
     // step does not count attribution; Deliver tallies the final byte's

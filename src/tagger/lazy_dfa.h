@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -30,17 +29,17 @@ struct EmitSpan {
   uint32_t count = 0;
 };
 
-// An ahead-of-time determinized transition table, baked into an artifact
-// at serialize time and shared read-only by every session of the tagger
-// that loaded it. Baked state ids are [0, states.size()); sessions place
-// their own lazily interned states above that range. At load the baked
-// rows are converted once into the sessions' flat table encoding (see
-// LazyDfaSession); each session copies that conversion, and the emission
-// pool its spans index, as the prefix of its own table. Transitions the
-// AOT walk left unbuilt (outside the state budget) stay kUnbuiltEdge there
-// and are built at run time into the session's copy.
+// An ahead-of-time determinized DFA, baked into an artifact at serialize
+// time: read-only views into the loaded artifact, shared by every session
+// of the tagger that loaded it. Sessions never step these rows and hold no
+// copy of them. A session's first visit to an edge whose source state has
+// a baked twin (an equal configuration) with that edge built imports the
+// target configuration and emission list into the session's own table in
+// place of a fused step (see LazyDfaSession). Edges the AOT walk left
+// unbuilt (outside the state budget) are built by fused steps as usual.
 struct AotDfaTable {
   TableView<DfaStateInfo> states;
+  TableView<DfaTrans> trans;  // row-major [state * num_classes + cls]
   TableView<WordBits> snap_pool;
   TableView<int32_t> emit_pool;
   size_t num_classes = 0;
@@ -48,29 +47,18 @@ struct AotDfaTable {
   // hash -> baked state id, rebuilt once at load from the stored hashes
   // (cheap relative to the compile it replaces; the artifact stays pure
   // position-independent data).
-  std::unordered_multimap<uint64_t, int32_t> index;
-
-  // The baked rows in the session encoding: next[state * num_classes +
-  // cls] is the premultiplied target row with kSlowEdge, emit_ref[] the
-  // parallel index of the edge's span in emit_spans, whose spans index
-  // emit_pool as stored.
-  std::vector<uint32_t> next;
-  std::vector<uint32_t> emit_ref;
-  std::vector<EmitSpan> emit_spans;
+  DfaIndex index;
 
   // Keeps the mapped (or copied) artifact bytes alive.
   std::shared_ptr<const void> backing;
 
-  // Builds the hash index and the flat rows from the artifact's DfaTrans
-  // rows (row-major [state * num_classes + cls]), already validated
-  // against `states` and `emit_pool` by the loader.
-  void Prepare(TableView<DfaTrans> trans);
+  // Builds `index` from the views, already validated by the loader.
+  void Prepare();
 
-  // Bytes one session's copy of the prefix occupies.
-  size_t PrefixBytes() const {
-    return next.size() * 2 * sizeof(uint32_t) +
-           emit_spans.size() * sizeof(EmitSpan) +
-           emit_pool.size() * sizeof(int32_t);
+  // The baked state equal to the configuration `probe` (snapshot words at
+  // `words`), its twin, or kNoDfaState.
+  uint32_t Find(const DfaStateInfo& probe, const WordBits* words) const {
+    return FindDfaState(index, states.data(), snap_pool.data(), probe, words);
   }
 };
 
@@ -109,17 +97,19 @@ struct DfaCacheMetrics {
 // resync-garbage / armed-byte skip paths run), or leaves the no-pending
 // stream-start state. The slow path replays the edge's emission span
 // (emit_ref_ runs parallel to next_ and only slow edges read it), runs the
-// skip paths, and builds misses: one real fused step (LoadConfig,
-// ProcessByte, SnapshotConfig) whose result is interned.
+// skip paths, and builds misses (below).
 //
-// Ids [0, aot_states()) are the tagger's baked AOT states: their rows,
-// converted at load, and the artifact's emission pool are copied into the
-// table's prefix when the session is created or rebound, and runtime
-// builds out of them fill the copy. The copy is charged to the process
-// ResourceBudget but not to dfa_cache_bytes, which bounds only the
-// session's own states. When the cache grows past that budget it is
-// dropped wholesale — the prefix reset to the tagger's rows — and rebuilt
-// from the current configuration (RE2's flush discipline); after
+// A miss is built by a DfaStates step (an absorb or one real fused step)
+// whose result is interned by the same DfaStates builder the AOT bake
+// runs. Over a tagger with a baked AOT table (an artifact load), each
+// state records its baked twin when it is interned, and a miss out of a
+// state whose twin has the edge built is an import: the target
+// configuration and emissions come from the artifact, with no fused step.
+// Imported and built states are alike in every other way (and count as
+// misses alike), so the table holds only the states the session visits,
+// in one id region, and is charged like any other. When the cache grows
+// past dfa_cache_bytes it is dropped wholesale and rebuilt from the
+// current configuration (RE2's flush discipline); after
 // dfa_flush_fallback flushes the session stops caching and runs its
 // scratch FusedSession directly for the rest of its life (Rebind to a
 // different tagger clears the verdict). Sessions of a tagger built with
@@ -163,13 +153,13 @@ class LazyDfaSession {
 
   const LazyDfaTagger* tagger() const { return tagger_; }
 
-  // Cache introspection (tests and metrics surfacing). cache_states()
-  // counts only the session's own interned states, not the baked prefix
-  // (aot_states() reports that).
-  size_t cache_states() const { return states_.size(); }
-  size_t aot_states() const { return num_aot_; }
+  // Cache introspection (tests and metrics surfacing). cache_imports()
+  // counts the edges taken from the baked AOT table since the session was
+  // created or rebound.
+  size_t cache_states() const { return dfa_.size(); }
   size_t cache_bytes() const { return cache_bytes_; }
   uint64_t cache_flushes() const { return flushes_; }
+  uint64_t cache_imports() const { return imports_; }
   bool fallback_active() const { return fallback_; }
 
  private:
@@ -177,25 +167,14 @@ class LazyDfaSession {
   uint32_t IdOf(uint32_t row) const {
     return row / static_cast<uint32_t>(num_classes_);
   }
-  // Resolves a state id across the two regions: baked AOT states occupy
-  // [0, num_aot_), session-interned states live above.
-  const DfaStateInfo& Info(uint32_t id) const {
-    return id < num_aot_ ? aot_->states[id] : states_[id - num_aot_];
-  }
-  // First snapshot word of `info`, resolved into the owning pool.
-  const WordBits* Snap(const DfaStateInfo& info, uint32_t id) const {
-    return (id < num_aot_ ? aot_->snap_pool.data() : snap_pool_.data()) +
-           info.snap_begin;
-  }
-
-  // Returns the id of the state equal to the configuration, interning it
-  // (with an all-unbuilt row) when new.
-  uint32_t InternState(const std::vector<WordBits>& state,
-                       const std::vector<WordBits>& armed, bool prev_delim,
-                       int16_t pending_cls);
-  // Builds the edge out of the current state on input class `cls`,
-  // flushing first if the cache is over budget (which may move state_).
-  // Returns false when the session entered fallback mode instead.
+  // Interns dfa_'s working configuration. A new state gets an all-unbuilt
+  // row and the baked twin `twin` (looked up when kNoDfaState), and is
+  // charged to the cache.
+  uint32_t InternState(uint32_t twin);
+  // Builds the edge out of the current state on input class `cls`, by
+  // import or by a fused step, flushing first if the cache is over budget
+  // (which may move state_). Returns false when the session entered
+  // fallback mode instead.
   bool BuildTransition(uint8_t cls);
   // The idle fast paths from the idle-eligible state `info` at `p`:
   // returns the byte at which the one real transition is taken.
@@ -230,8 +209,8 @@ class LazyDfaSession {
   // stream position, stop flag, and pending byte (as its class
   // representative) so the fused engine can continue the stream exactly.
   void MaterializeScratch();
-  // Drops the session-interned states and restores the table to the
-  // tagger's baked prefix (or, in fallback mode, frees the table).
+  // Drops every interned state and empties the table (in fallback mode,
+  // frees it).
   void ClearCache();
   void SyncFromScratch();
 
@@ -243,39 +222,31 @@ class LazyDfaSession {
   const LazyDfaTagger* tagger_;
   FusedSession scratch_;
 
-  // The shared baked table (may be null) and the size of its id region.
+  // The shared baked table, or null.
   const AotDfaTable* aot_ = nullptr;
-  uint32_t num_aot_ = 0;
 
-  // The flat table over both id regions (see the class comment): next_
-  // and emit_ref_ are row-major [id * num_classes_ + cls], emit_ref_
-  // indexes emit_spans_, whose spans index emit_pool_. states_[k] is the
-  // info of id num_aot_ + k.
+  // The flat table (see the class comment): next_ and emit_ref_ are
+  // row-major [id * num_classes_ + cls], emit_ref_ indexes emit_spans_,
+  // whose spans index emit_pool_. dfa_ holds the states the ids name, and
+  // twin_[id] is the baked state equal to state id (kNoDfaState if none),
+  // so an import needs no configuration lookup in the baked table.
   std::vector<uint32_t> next_;
   std::vector<uint32_t> emit_ref_;
   std::vector<EmitSpan> emit_spans_;
   std::vector<int32_t> emit_pool_;
-  // Prefix edges built at run time (unbuilt in the baked rows), so a
-  // flush resets just those instead of copying the whole prefix again.
-  std::vector<uint32_t> patched_;
-  std::vector<DfaStateInfo> states_;
-  std::vector<WordBits> snap_pool_;
-  std::unordered_multimap<uint64_t, uint32_t> index_;
+  DfaStates dfa_;
+  std::vector<uint32_t> twin_;
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
-  // Mirrors cache_bytes_, plus the copied baked prefix, into the process
-  // resource budget so a fleet of sessions shows up as one "dfa_cache"
-  // footprint; under budget pressure the kShedDfa rung stops further
-  // growth (see BuildTransition).
+  // Mirrors cache_bytes_ into the process resource budget so a fleet of
+  // sessions shows up as one "dfa_cache" footprint; under budget pressure
+  // the kShedDfa rung stops further growth (see BuildTransition).
   core::resilience::ScopedCharge budget_{"dfa_cache"};
-
-  // Scratch for intern/build, kept allocated across steps.
-  std::vector<WordBits> tmp_state_, tmp_armed_;
-  std::vector<int32_t> tmp_emit_;
 
   uint32_t state_ = 0;  // row offset of the current state
   uint64_t consumed_ = 0;
   uint64_t flushes_ = 0;
+  uint64_t imports_ = 0;
   uint64_t emit_cutoff_ = ~uint64_t{0};
   uint64_t tags_delivered_ = 0;
   bool fallback_ = false;

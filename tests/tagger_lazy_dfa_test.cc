@@ -4,9 +4,12 @@
 // skip paths, cache flushes under a starvation-sized budget, and the
 // sticky fused fallback after repeated flush thrash. The flat-table edges
 // get their own sweeps: random chunk splits, an early stop inside a
-// multi-token emission list, runtime builds out of a small baked AOT
-// prefix, flushes that must restore that prefix, the prefix's charge to
-// the process resource budget, and exact attribution.
+// multi-token emission list, exact attribution, and the state index's
+// collision handling. Sessions over a loaded artifact import baked AOT
+// edges on first visit: imports mixed with fused builds, flushes that drop
+// imported states and import them again, a budget charge equal to the
+// session's own cache, and a session over a fully baked artifact that
+// matches a freshly compiled one state for state.
 
 #include <gtest/gtest.h>
 
@@ -477,7 +480,42 @@ artifact::LoadedTagger LoadWithAot(const grammar::Grammar& g,
   return std::move(loaded).value();
 }
 
-TEST(LazyDfaFlatTableTest, RuntimeBuildsExtendSmallBakedPrefix) {
+// The state index keys slots by the hash's high 32 bits: ids filed under
+// hashes that share them (or the whole hash) are told apart only by the
+// caller's match, and every id survives the table's growth.
+TEST(DfaIndexTest, FindsEveryIdThroughCollisionsAndGrowth) {
+  DfaIndex index;
+  EXPECT_EQ(index.Find(7, [](uint32_t) { return true; }), kNoDfaState);
+  constexpr uint32_t kIds = 1000;
+  auto hash_of = [](uint32_t id) {
+    // Ten ids per high half, two per full hash.
+    return (uint64_t{id / 10} << 32) | (id / 2);
+  };
+  for (uint32_t id = 0; id < kIds; ++id) index.Insert(hash_of(id), id);
+  for (uint32_t id = 0; id < kIds; ++id) {
+    EXPECT_EQ(index.Find(hash_of(id), [id](uint32_t c) { return c == id; }),
+              id);
+  }
+  EXPECT_EQ(index.Find(uint64_t{kIds} << 32, [](uint32_t) { return true; }),
+            kNoDfaState);
+  index.Clear();
+  EXPECT_EQ(index.Find(hash_of(3), [](uint32_t) { return true; }),
+            kNoDfaState);
+}
+
+// An AOT budget large enough for every test grammar's walk to close.
+constexpr uint32_t kFullClosure = 1u << 16;
+
+// Built edges in the baked table: each one a session can import.
+size_t BakedEdges(const AotDfaTable& aot) {
+  size_t n = 0;
+  for (const DfaTrans& tr : aot.trans) n += tr.next >= 0 ? 1 : 0;
+  return n;
+}
+
+// Four baked states cover a sliver of the reachable set: sessions import
+// what they can and step the fused engine for the rest, in one table.
+TEST(LazyDfaFlatTableTest, ImportsMixWithBuildsAtSmallAotBudget) {
   grammar::Grammar g = MustParse(kTwinGrammar);
   Rng rng(0xa07);
   for (ArmMode mode : kModes) {
@@ -485,32 +523,36 @@ TEST(LazyDfaFlatTableTest, RuntimeBuildsExtendSmallBakedPrefix) {
     opt.arm_mode = mode;
     artifact::LoadedTagger loaded = LoadWithAot(g, opt, 4);
     ASSERT_NE(loaded.engine->aot(), nullptr);
+    ASSERT_EQ(loaded.engine->aot()->states.size(), 4u);
     LazyDfaSession session = loaded.engine->NewSession();
-    EXPECT_EQ(session.aot_states(), 4u);
     for (int iter = 0; iter < 40; ++iter) {
       const std::string input = RandomInput(rng, 300);
       session.Reset();
       ExpectSameTags(Functional(g, opt, input),
                      FeedRandomChunks(session, input, rng));
     }
-    // Four baked states cannot cover the reachable set: the session built
-    // its own states above the prefix.
-    EXPECT_GT(session.cache_states(), 0u);
+    EXPECT_GT(session.cache_imports(), 0u);
+    // More states than were baked: the rest came from fused steps.
+    EXPECT_GT(session.cache_states(), 4u);
     EXPECT_FALSE(session.fallback_active());
   }
 }
 
-TEST(LazyDfaFlatTableTest, FlushFromBakedStateRestoresPrefix) {
+// A starvation budget flushes every few builds. Each flush drops the
+// imported states with the rest; revisiting them imports them again, so a
+// session imports more edges than the artifact bakes.
+TEST(LazyDfaFlatTableTest, FlushDropsImportedStatesThenReimports) {
   grammar::Grammar g = MustParse(kTwinGrammar);
   Rng rng(0xf105);
   for (ArmMode mode : kModes) {
     TaggerOptions opt;
     opt.arm_mode = mode;
-    // A starvation budget flushes every few builds, often while the
-    // current state is one of the baked ones; never give up caching.
     opt.dfa_cache_bytes = 1 << 9;
-    opt.dfa_flush_fallback = 1u << 30;
-    artifact::LoadedTagger loaded = LoadWithAot(g, opt, 4);
+    opt.dfa_flush_fallback = 1u << 30;  // never give up caching
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, kFullClosure);
+    const AotDfaTable* aot = loaded.engine->aot();
+    ASSERT_NE(aot, nullptr);
+    ASSERT_LT(aot->states.size(), kFullClosure);
     LazyDfaSession session = loaded.engine->NewSession();
     for (int iter = 0; iter < 40; ++iter) {
       const std::string input = RandomInput(rng, 300);
@@ -519,14 +561,15 @@ TEST(LazyDfaFlatTableTest, FlushFromBakedStateRestoresPrefix) {
                      FeedRandomChunks(session, input, rng));
     }
     EXPECT_GT(session.cache_flushes(), 0u);
+    EXPECT_GT(session.cache_imports(), BakedEdges(*aot));
     EXPECT_FALSE(session.fallback_active());
   }
 }
 
-// Each session's copy of the baked prefix is real memory the resource
-// budget ladder must see: charged on creation, still charged after the
-// flushes that restore it, released with the session.
-TEST(LazyDfaFlatTableTest, BakedPrefixIsChargedToResourceBudget) {
+// The baked table is shared, read-only artifact memory: a session charges
+// the process resource budget for its own cache only, through flushes,
+// and releases it with the session.
+TEST(LazyDfaFlatTableTest, SessionChargeIsItsCacheBytes) {
   grammar::Grammar g = MustParse(kTwinGrammar);
   core::resilience::ResourceBudget& budget =
       core::resilience::ResourceBudget::Process();
@@ -535,17 +578,12 @@ TEST(LazyDfaFlatTableTest, BakedPrefixIsChargedToResourceBudget) {
   opt.dfa_cache_bytes = 1 << 9;
   opt.dfa_flush_fallback = 1u << 30;
   artifact::LoadedTagger loaded = LoadWithAot(g, opt, 32);
-  const AotDfaTable* aot = loaded.engine->aot();
-  ASSERT_NE(aot, nullptr);
-  ASSERT_GT(aot->emit_pool.size(), 0u);
-  const size_t prefix = aot->PrefixBytes();
-  EXPECT_EQ(prefix, aot->states.size() * aot->num_classes * 8 +
-                        aot->emit_spans.size() * sizeof(EmitSpan) +
-                        aot->emit_pool.size() * sizeof(int32_t));
+  ASSERT_NE(loaded.engine->aot(), nullptr);
   const uint64_t before = budget.used();
   {
     LazyDfaSession session = loaded.engine->NewSession();
-    EXPECT_EQ(budget.used() - before, prefix + session.cache_bytes());
+    EXPECT_EQ(session.cache_states(), 1u);  // the stream-start state
+    EXPECT_EQ(budget.used() - before, session.cache_bytes());
     Rng rng(0xb0d6e7);
     for (int iter = 0; iter < 20; ++iter) {
       const std::string input = RandomInput(rng, 300);
@@ -554,64 +592,129 @@ TEST(LazyDfaFlatTableTest, BakedPrefixIsChargedToResourceBudget) {
                      FeedRandomChunks(session, input, rng));
     }
     EXPECT_GT(session.cache_flushes(), 0u);
-    EXPECT_EQ(budget.used() - before, prefix + session.cache_bytes());
+    EXPECT_GT(session.cache_imports(), 0u);
+    EXPECT_EQ(budget.used() - before, session.cache_bytes());
   }
   EXPECT_EQ(budget.used(), before);
+}
+
+// Importing a baked edge yields exactly the state a fused step would
+// build, so a session over a fully baked artifact holds the same table as
+// one over the freshly compiled tagger: same states, same bytes, same
+// tags, with every miss served by an import.
+TEST(LazyDfaFlatTableTest, FullyBakedSessionMatchesCompiledSession) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0xc0de);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, kFullClosure);
+    ASSERT_NE(loaded.engine->aot(), nullptr);
+    auto compiled = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    LazyDfaSession baked = loaded.engine->NewSession();
+    LazyDfaSession fresh = compiled->NewSession();
+    for (int iter = 0; iter < 20; ++iter) {
+      const std::string input = RandomInput(rng, 300);
+      baked.Reset();
+      fresh.Reset();
+      const std::vector<Tag> want = Functional(g, opt, input);
+      // Equal chunk splits: the idle skips stop at chunk ends, so the
+      // states a session visits depend on where its chunks end.
+      const uint64_t split_seed = rng.Next();
+      Rng baked_split(split_seed), fresh_split(split_seed);
+      ExpectSameTags(want, FeedRandomChunks(baked, input, baked_split));
+      ExpectSameTags(want, FeedRandomChunks(fresh, input, fresh_split));
+      EXPECT_EQ(baked.cache_states(), fresh.cache_states()) << "iter " << iter;
+      EXPECT_EQ(baked.cache_bytes(), fresh.cache_bytes()) << "iter " << iter;
+    }
+    // Every state but the stream-start one entered through an import.
+    EXPECT_GE(baked.cache_imports(), baked.cache_states() - 1);
+    EXPECT_EQ(fresh.cache_imports(), 0u);
+  }
 }
 
 // Attribution must count exactly what the pre-flat-table session counted:
 // one DFA hit or miss per stepped byte (skipped bytes count neither) and
 // every replayed emission per token. The hit/miss pairs are the values
 // the region-walking session produced for this input, cold then warm.
+struct AttributionWant {
+  ArmMode mode;
+  uint64_t cold_hits, cold_misses, warm_hits;
+};
+constexpr AttributionWant kAttributionWant[] = {
+    {ArmMode::kAnchored, 0, 11, 11},
+    {ArmMode::kScan, 24, 20, 44},
+    {ArmMode::kResync, 23, 21, 44},
+};
+const char kAttributionInput[] =
+    "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
+
+// Tags kAttributionInput twice (cold, then warm) on one session of `t`
+// with attribution on and checks the table against `w` and `g`.
+void ExpectAttribution(const grammar::Grammar& g, const LazyDfaTagger& t,
+                       const AttributionWant& w) {
+  obs::AttributionTable& table = obs::AttributionTable::Default();
+  const std::string input = kAttributionInput;
+  const std::vector<Tag> want = Functional(g, t.options(), input);
+  std::map<std::string, uint64_t> want_matches;
+  for (const Tag& tag : want) {
+    ++want_matches[g.tokens()[static_cast<size_t>(tag.token)].name];
+  }
+  LazyDfaSession session = t.NewSession();
+  for (int pass = 0; pass < 2; ++pass) {
+    table.Clear();
+    session.Reset();  // samples the switch
+    std::vector<Tag> got;
+    const TagSink sink = [&](const Tag& tag) {
+      got.push_back(tag);
+      return true;
+    };
+    session.Feed(input, sink);
+    session.Finish(sink);  // merges into the table
+    ExpectSameTags(want, got);
+    EXPECT_EQ(table.dfa_cache_hits(), pass == 0 ? w.cold_hits : w.warm_hits)
+        << "pass " << pass;
+    EXPECT_EQ(table.dfa_cache_misses(), pass == 0 ? w.cold_misses : 0u)
+        << "pass " << pass;
+    std::map<std::string, uint64_t> got_matches;
+    for (const obs::AttributionTable::Row& row : table.RankedTokens()) {
+      got_matches[row.name] = row.hits;
+    }
+    EXPECT_EQ(got_matches, want_matches) << "pass " << pass;
+  }
+}
+
 TEST(LazyDfaFlatTableTest, AttributionCountsAreUnchanged) {
   grammar::Grammar g = MustParse(kCalcGrammar);
-  const std::string input = "  12+34 junk 99*1   abc 5-5 12 34 xyzzy 7/8 ";
-  struct Want {
-    ArmMode mode;
-    uint64_t cold_hits, cold_misses, warm_hits;
-  };
-  const Want kWant[] = {
-      {ArmMode::kAnchored, 0, 11, 11},
-      {ArmMode::kScan, 24, 20, 44},
-      {ArmMode::kResync, 23, 21, 44},
-  };
-  obs::AttributionTable& table = obs::AttributionTable::Default();
   const bool was_enabled = obs::AttributionTable::enabled();
   obs::AttributionTable::set_enabled(true);
-  for (const Want& w : kWant) {
+  for (const AttributionWant& w : kAttributionWant) {
     TaggerOptions opt;
     opt.arm_mode = w.mode;
     auto t = LazyDfaTagger::Create(&g, opt);
     ASSERT_TRUE(t.ok()) << t.status();
-    const std::vector<Tag> want = Functional(g, opt, input);
-    std::map<std::string, uint64_t> want_matches;
-    for (const Tag& tag : want) {
-      ++want_matches[g.tokens()[static_cast<size_t>(tag.token)].name];
-    }
-    LazyDfaSession session = t->NewSession();
-    for (int pass = 0; pass < 2; ++pass) {
-      table.Clear();
-      session.Reset();  // samples the switch
-      std::vector<Tag> got;
-      const TagSink sink = [&](const Tag& tag) {
-        got.push_back(tag);
-        return true;
-      };
-      session.Feed(input, sink);
-      session.Finish(sink);  // merges into the table
-      ExpectSameTags(want, got);
-      EXPECT_EQ(table.dfa_cache_hits(), pass == 0 ? w.cold_hits : w.warm_hits)
-          << "pass " << pass;
-      EXPECT_EQ(table.dfa_cache_misses(), pass == 0 ? w.cold_misses : 0u)
-          << "pass " << pass;
-      std::map<std::string, uint64_t> got_matches;
-      for (const obs::AttributionTable::Row& row : table.RankedTokens()) {
-        got_matches[row.name] = row.hits;
-      }
-      EXPECT_EQ(got_matches, want_matches) << "pass " << pass;
-    }
+    ExpectAttribution(g, *t, w);
   }
-  table.Clear();
+  obs::AttributionTable::Default().Clear();
+  obs::AttributionTable::set_enabled(was_enabled);
+}
+
+// An import is a miss: the edge was not in the session's table, whether
+// the artifact or a fused step supplies it. A session over a fully baked
+// artifact therefore counts what a freshly compiled one counts.
+TEST(LazyDfaFlatTableTest, AttributionCountsImportsAsMisses) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  const bool was_enabled = obs::AttributionTable::enabled();
+  obs::AttributionTable::set_enabled(true);
+  for (const AttributionWant& w : kAttributionWant) {
+    TaggerOptions opt;
+    opt.arm_mode = w.mode;
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, kFullClosure);
+    ASSERT_NE(loaded.engine->aot(), nullptr);
+    ExpectAttribution(g, *loaded.engine, w);
+  }
+  obs::AttributionTable::Default().Clear();
   obs::AttributionTable::set_enabled(was_enabled);
 }
 
