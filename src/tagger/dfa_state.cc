@@ -129,12 +129,16 @@ uint32_t DfaStates::Intern(size_t max_states) {
   const uint32_t found =
       FindDfaState(index_, states_.data(), pool_.data(), cfg_, w);
   if (found != kNoDfaState || states_.size() >= max_states) return found;
-  DfaStateInfo info = cfg_;
-  info.snap_begin = static_cast<uint32_t>(pool_.size());
-  pool_.insert(pool_.end(), cfg_words_.begin(), cfg_words_.end());
+  return Append(cfg_, w);
+}
+
+uint32_t DfaStates::Append(const DfaStateInfo& info, const WordBits* words) {
+  DfaStateInfo copy = info;
+  copy.snap_begin = static_cast<uint32_t>(pool_.size());
+  pool_.insert(pool_.end(), words, words + info.num_state + info.num_armed);
   const uint32_t id = static_cast<uint32_t>(states_.size());
-  states_.push_back(info);
-  index_.Insert(info.hash, id);
+  states_.push_back(copy);
+  index_.Insert(copy.hash, id);
   return id;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "tagger/fused_model.h"
+#include "tagger/skip_scan.h"
 
 namespace cfgtag::tagger {
 
@@ -47,30 +48,70 @@ struct DfaTrans {
 };
 static_assert(sizeof(DfaTrans) == 12, "DfaTrans is serialized");
 
-// Whether the warm loop must hand control back at this state: a dead
-// configuration with a pending byte, where the idle skip paths apply.
+// A dead configuration with a pending byte: the only states out of which
+// an idle skip can start.
 inline bool IdleEligible(const DfaStateInfo& s) {
   return s.num_state == 0 && s.pending_cls >= 0;
+}
+
+// The idle skip an input byte of class `cls` can start out of state `src`,
+// or SkipMetrics::kNumKinds when none can. Each kind is a property of the
+// state and the byte's class alone, so it is fixed per edge:
+//   kDelimiter  dead with a delimiter pending, on a delimiter
+//   kAnchored   dead and unarmed in anchored mode, on any byte
+//   kResync     dead, unarmed and mid-garbage in resync mode, on a
+//               non-delimiter
+//   kArmed      dead and unarmed in scan mode, on a byte that cannot arm,
+//               with a pending byte that could not arm either
+// An armed dead state skips only delimiter runs.
+inline SkipMetrics::Kind IdleSkipKind(const FusedTagger& f,
+                                      const DfaStateInfo& src, uint8_t cls) {
+  if (!IdleEligible(src)) return SkipMetrics::kNumKinds;
+  const uint8_t pending = static_cast<uint8_t>(src.pending_cls);
+  const bool pending_delim = f.ClassIsDelim(pending);
+  const bool delim = f.ClassIsDelim(cls);
+  if (pending_delim && delim) return SkipMetrics::kDelimiter;
+  if (src.num_armed != 0) return SkipMetrics::kNumKinds;
+  switch (f.options().arm_mode) {
+    case ArmMode::kAnchored:
+      return SkipMetrics::kAnchored;
+    case ArmMode::kResync:
+      return !src.prev_delim && !pending_delim && !delim
+                 ? SkipMetrics::kResync
+                 : SkipMetrics::kNumKinds;
+    case ArmMode::kScan:
+      return !f.ClassCanArm(pending) && !f.ClassCanArm(cls)
+                 ? SkipMetrics::kArmed
+                 : SkipMetrics::kNumKinds;
+  }
+  return SkipMetrics::kNumKinds;
 }
 
 // The lazy-DFA session's flat table encoding (see LazyDfaSession): one
 // uint32_t per (state, class) edge holding the target's *premultiplied*
 // row offset, target_id * num_classes, so the warm loop indexes the next
-// row without a multiply. The top bit marks a slow edge, one the warm
-// loop may not take on its own: unbuilt, emitting, into an idle-eligible
-// state, or out of the no-pending stream-start state. The all-ones value
-// is an unbuilt edge, never a real one (CheckDfaTableRange keeps every row
-// offset below kSlowEdge - num_classes).
+// row without a multiply. Two flag bits sit above the row:
+//   kSlowEdge  the warm loop may not take the edge on its own: it is
+//              unbuilt, leaves the no-pending stream-start state (an
+//              absorb), or can start an idle skip (IdleSkipKind).
+//   kEmitEdge  the edge emits tags; the warm loop records it and goes on.
+// The all-ones value is an unbuilt edge, never a real one
+// (CheckDfaTableRange keeps every row offset below kEmitEdge - num_classes).
 constexpr uint32_t kSlowEdge = 1u << 31;
+constexpr uint32_t kEmitEdge = 1u << 30;
+constexpr uint32_t kEdgeRow = kEmitEdge - 1;
 constexpr uint32_t kUnbuiltEdge = ~uint32_t{0};
 
-inline uint32_t EncodeEdge(const DfaStateInfo& src, const DfaStateInfo& dst,
-                           uint32_t dst_row, bool emits) {
-  const bool slow = emits || IdleEligible(dst) || src.pending_cls < 0;
-  return dst_row | (slow ? kSlowEdge : 0);
+// The edge out of `src` on class `cls` into the state whose row starts at
+// `dst_row`.
+inline uint32_t EncodeEdge(const FusedTagger& f, const DfaStateInfo& src,
+                           uint8_t cls, uint32_t dst_row, bool emits) {
+  const bool slow = src.pending_cls < 0 ||
+                    IdleSkipKind(f, src, cls) != SkipMetrics::kNumKinds;
+  return dst_row | (emits ? kEmitEdge : 0) | (slow ? kSlowEdge : 0);
 }
 
-// Rejects a cache budget whose worst-case table could overflow the 31-bit
+// Rejects a cache budget whose worst-case table could overflow the 30-bit
 // row offsets. A session charges at least 8 bytes per edge (the row plus
 // its emission ref) to dfa_cache_bytes and interns at most two states past
 // the budget before it flushes, so its rows never exceed dfa_cache_bytes /
@@ -78,10 +119,10 @@ inline uint32_t EncodeEdge(const DfaStateInfo& src, const DfaStateInfo& dst,
 // byte value), so the sum below cannot wrap.
 inline Status CheckDfaTableRange(uint64_t dfa_cache_bytes,
                                  size_t num_classes) {
-  const uint64_t limit = kSlowEdge - 1;
+  const uint64_t limit = kEdgeRow;
   if (dfa_cache_bytes / 8 + 2 * uint64_t{num_classes} > limit) {
     return InvalidArgumentError(
-        "dfa_cache_bytes too large for the 31-bit lazy-DFA row encoding");
+        "dfa_cache_bytes too large for the 30-bit lazy-DFA row encoding");
   }
   return Status::Ok();
 }
@@ -176,6 +217,10 @@ class DfaStates {
   // is appended (its id is the old size()) unless size() is already
   // `max_states`, in which case the result is kNoDfaState.
   uint32_t Intern(size_t max_states = std::numeric_limits<size_t>::max());
+
+  // Appends a copy of `info` (hash set, snapshot words at `words`) that the
+  // caller knows is not in the set yet, without a lookup; returns its id.
+  uint32_t Append(const DfaStateInfo& info, const WordBits* words);
 
   // Drops every interned state; the working configuration survives.
   void Clear();

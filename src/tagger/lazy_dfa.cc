@@ -1,7 +1,9 @@
 #include "tagger/lazy_dfa.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "common/hash.h"
 #include "core/resilience/fault_injector.h"
 #include "obs/attribution.h"
 #include "obs/events.h"
@@ -85,9 +87,12 @@ void LazyDfaSession::Rebind(const LazyDfaTagger* tagger) {
     tagger_ = tagger;
     scratch_.Rebind(&tagger_->fused());
     num_classes_ = tagger_->fused().NumByteClasses();
+    row_recip_ = ((uint64_t{1} << 32) + num_classes_ - 1) / num_classes_;
     aot_ = tagger_->aot();
     flushes_ = 0;
     imports_ = 0;
+    lane_windows_ = 0;
+    lane_guess_misses_ = 0;
     // A non-caching tagger's sessions start (and stay) on the fused path.
     fallback_ = !tagger_->caches();
     ClearCache();
@@ -99,16 +104,35 @@ void LazyDfaSession::ClearCache() {
   dfa_.Clear();
   cache_bytes_ = 0;
   budget_.ReleaseAll();
+  std::fill(std::begin(memo_), std::end(memo_), Memo{});
   if (fallback_) {
-    // The fused path never reads the table; free it.
+    // The fused path never reads the table or the records; free them.
     std::vector<uint32_t>().swap(next_);
     std::vector<uint32_t>().swap(emit_ref_);
     std::vector<uint32_t>().swap(twin_);
+    std::vector<uint32_t>().swap(of_twin_);
+    twin_charge_.ReleaseAll();
     std::vector<EmitSpan>().swap(emit_spans_);
     std::vector<int32_t>().swap(emit_pool_);
+    std::vector<Record>().swap(run_rec_);
+    std::vector<Record>().swap(lane_rec_);
+    lane_charge_.ReleaseAll();
   } else {
+    run_rec_.resize(kRunRecords);
     next_.clear();
     emit_ref_.clear();
+    if (aot_ == nullptr) {
+      std::vector<uint32_t>().swap(of_twin_);
+      twin_charge_.ReleaseAll();
+    } else if (of_twin_.size() != aot_->states.size()) {
+      of_twin_.assign(aot_->states.size(), kNoDfaState);
+      twin_charge_.ReleaseAll();
+      twin_charge_.Add(of_twin_.size() * sizeof(uint32_t));
+    } else {
+      for (const uint32_t twin : twin_) {
+        if (twin != kNoDfaState) of_twin_[twin] = kNoDfaState;
+      }
+    }
     twin_.clear();
     emit_spans_.assign(1, EmitSpan{});
     emit_pool_.clear();
@@ -144,12 +168,17 @@ void LazyDfaSession::Reset() {
 uint32_t LazyDfaSession::InternState(uint32_t twin) {
   const size_t before = dfa_.size();
   const uint32_t id = dfa_.Intern();
-  if (dfa_.size() == before) return id;
+  if (dfa_.size() != before) AddState(id, twin);
+  return id;
+}
+
+void LazyDfaSession::AddState(uint32_t id, uint32_t twin) {
   const DfaStateInfo& info = dfa_[id];
   if (twin == kNoDfaState && aot_ != nullptr) {
     twin = aot_->Find(info, dfa_.words(info));
   }
   twin_.push_back(twin);
+  if (twin != kNoDfaState) of_twin_[twin] = id;
   next_.resize(next_.size() + num_classes_, kUnbuiltEdge);
   emit_ref_.resize(emit_ref_.size() + num_classes_, 0);
   const size_t charged = sizeof(DfaStateInfo) + sizeof(uint32_t) +
@@ -159,7 +188,6 @@ uint32_t LazyDfaSession::InternState(uint32_t twin) {
   cache_bytes_ += charged;
   budget_.Add(charged);
   DfaCacheMetrics::Get().states->Increment();
-  return id;
 }
 
 void LazyDfaSession::MaterializeScratch() {
@@ -249,7 +277,18 @@ bool LazyDfaSession::BuildTransition(uint8_t cls) {
     Flush();
     if (fallback_) return false;
   }
-  const uint32_t id = IdOf(state_);
+  BuildEdge(state_, cls);
+  return true;
+}
+
+bool LazyDfaSession::MayBuildInPlace() const {
+  return cache_bytes_ <= tagger_->options().dfa_cache_bytes &&
+         !core::resilience::FaultInjector::AnyArmed() &&
+         !core::resilience::ResourceBudget::Process().ShouldShedDfa();
+}
+
+void LazyDfaSession::BuildEdge(uint32_t row, uint8_t cls) {
+  const uint32_t id = IdOf(row);
   const uint32_t emit_begin = static_cast<uint32_t>(emit_pool_.size());
   const uint32_t twin = twin_[id];
   const DfaTrans* baked =
@@ -261,12 +300,14 @@ bool LazyDfaSession::BuildTransition(uint8_t cls) {
     // emissions, so no fused step runs. A successor already in the table
     // is found by its twin, without a configuration compare.
     const uint32_t dst = static_cast<uint32_t>(baked->next);
-    const DfaStateInfo& dst_info = aot_->states[dst];
-    next_id = dfa_.index().Find(
-        dst_info.hash, [this, dst](uint32_t c) { return twin_[c] == dst; });
+    next_id = of_twin_[dst];
     if (next_id == kNoDfaState) {
-      dfa_.Load(dst_info, aot_->snap_pool.data() + dst_info.snap_begin);
-      next_id = InternState(dst);
+      // Not in the table: no state has dst as its twin, and every state
+      // equal to a baked one has it.
+      const DfaStateInfo& dst_info = aot_->states[dst];
+      next_id = dfa_.Append(dst_info,
+                            aot_->snap_pool.data() + dst_info.snap_begin);
+      AddState(next_id, dst);
     }
     const int32_t* tok = aot_->emit_pool.data() + baked->emit_begin;
     emit_pool_.insert(emit_pool_.end(), tok, tok + baked->emit_count);
@@ -276,7 +317,7 @@ bool LazyDfaSession::BuildTransition(uint8_t cls) {
     next_id = InternState(kNoDfaState);
   }
   // The edge's emissions were appended to the pool: [emit_begin, end).
-  const size_t edge = size_t{state_} + cls;
+  const size_t edge = size_t{row} + cls;
   const uint32_t emitted = static_cast<uint32_t>(emit_pool_.size()) - emit_begin;
   if (emitted != 0) {
     emit_ref_[edge] = static_cast<uint32_t>(emit_spans_.size());
@@ -285,10 +326,52 @@ bool LazyDfaSession::BuildTransition(uint8_t cls) {
     cache_bytes_ += list_bytes;
     budget_.Add(list_bytes);
   }
-  next_[edge] = EncodeEdge(dfa_[id], dfa_[next_id],
+  next_[edge] = EncodeEdge(tagger_->fused(), dfa_[id], cls,
                            static_cast<uint32_t>(next_id * num_classes_),
                            emitted != 0);
-  return true;
+}
+
+uint32_t LazyDfaSession::ImportTarget(uint32_t row, uint8_t cls,
+                                      bool* emits) const {
+  const uint32_t twin = twin_[IdOf(row)];
+  if (twin == kNoDfaState) return kNoDfaState;
+  const DfaTrans& baked = aot_->trans[size_t{twin} * num_classes_ + cls];
+  if (baked.next < 0) return kNoDfaState;
+  const uint32_t id = of_twin_[static_cast<uint32_t>(baked.next)];
+  if (id == kNoDfaState) return kNoDfaState;
+  *emits = baked.emit_count != 0;
+  return static_cast<uint32_t>(id * num_classes_);
+}
+
+size_t LazyDfaSession::IdleRun(SkipMetrics::Kind kind, const unsigned char* p,
+                               size_t n, SkipStrategy* strategy) const {
+  const FusedTagger& f = tagger_->fused();
+  const char* data = reinterpret_cast<const char*>(p);
+  switch (kind) {
+    case SkipMetrics::kDelimiter:
+      // Dead + delimiter pending emits nothing and preserves arms whatever
+      // the input: the run lasts while the bytes are delimiters.
+      *strategy = f.delimiter_scanner().strategy();
+      return f.delimiter_scanner().FindFirstNotIn(data, n);
+    case SkipMetrics::kResync:
+      // Mid-garbage in resync mode: start injection waits for the next
+      // delimiter, so non-delimiter bytes are inert.
+      *strategy = f.delimiter_scanner().strategy();
+      return f.delimiter_scanner().FindFirstIn(data, n);
+    case SkipMetrics::kArmed:
+      // Armed-byte prefilter: fully idle in scan mode, bytes that cannot
+      // start any token are inert. The run may mix garbage and delimiters
+      // (delimiters never arm); the intermediate states differ only in
+      // pending class and delimiter flag, neither of which scan mode's
+      // injection reads, so the tags are exact.
+      *strategy = f.arm_scanner().strategy();
+      return f.arm_scanner().FindFirstIn(data, n);
+    default:
+      // Dead anchored stream: arming can never re-inject, so the rest of
+      // the input is inert.
+      *strategy = SkipStrategy::kNone;
+      return n;
+  }
 }
 
 const unsigned char* LazyDfaSession::SkipIdle(const DfaStateInfo& info,
@@ -300,54 +383,14 @@ const unsigned char* LazyDfaSession::SkipIdle(const DfaStateInfo& info,
   // transition on the run's last byte — which re-derives the exact
   // successor, because it is invariant across the run.
   const FusedTagger& f = tagger_->fused();
-  const RunScanner& delim = f.delimiter_scanner();
-  const RunScanner& arm = f.arm_scanner();
-  const SkipMetrics& skips = SkipMetrics::Get();
-  const ArmMode mode = f.options().arm_mode;
-  const char* data = reinterpret_cast<const char*>(p);
-  const size_t n = static_cast<size_t>(end - p);
-  const uint8_t pending = static_cast<uint8_t>(info.pending_cls);
-  const bool pending_delim = f.ClassIsDelim(pending);
-  const bool armed = info.num_armed != 0;
-  if (pending_delim && delim.Test(*p)) {
-    // Delimiter run: dead + delimiter pending emits nothing and preserves
-    // arms whatever the input, so jump to the run's end.
-    const size_t j = delim.FindFirstNotIn(data, n);
-    if (j > 1) {
-      skips.Of(SkipMetrics::kDelimiter, delim.strategy())->Increment(j - 1);
-      return p + j - 1;
-    }
-  } else if (!armed && mode == ArmMode::kAnchored) {
-    // Dead stream: anchored arming can never re-inject; only the last
-    // byte is fed (keeping the pending machinery consistent).
-    if (n > 1) {
-      skips.Of(SkipMetrics::kAnchored, SkipStrategy::kNone)->Increment(n - 1);
-      return end - 1;
-    }
-  } else if (!armed && mode == ArmMode::kResync && !info.prev_delim &&
-             !pending_delim && !delim.Test(*p)) {
-    // Mid-garbage in resync mode: start injection waits for the next
-    // delimiter, so non-delimiter bytes are inert.
-    const size_t j = delim.FindFirstIn(data, n);
-    if (j > 1) {
-      skips.Of(SkipMetrics::kResync, delim.strategy())->Increment(j - 1);
-      return p + j - 1;
-    }
-  } else if (!armed && mode == ArmMode::kScan && !f.ClassCanArm(pending) &&
-             !arm.Test(*p)) {
-    // Armed-byte prefilter, DFA rendition: fully idle in scan mode, bytes
-    // that cannot start any token are inert, so jump to the last such
-    // byte and take one real transition there. The run may mix garbage
-    // and delimiters (delimiters never arm); the intermediate states
-    // differ only in pending class and delimiter flag, neither of which
-    // scan mode's injection reads, so the tags are exact.
-    const size_t j = arm.FindFirstIn(data, n);
-    if (j > 1) {
-      skips.Of(SkipMetrics::kArmed, arm.strategy())->Increment(j - 1);
-      return p + j - 1;
-    }
-  }
-  return p;
+  const SkipMetrics::Kind kind =
+      IdleSkipKind(f, info, f.classifier().class_map()[*p]);
+  if (kind == SkipMetrics::kNumKinds) return p;
+  SkipStrategy strategy;
+  const size_t j = IdleRun(kind, p, static_cast<size_t>(end - p), &strategy);
+  if (j <= 1) return p;
+  SkipMetrics::Get().Of(kind, strategy)->Increment(j - 1);
+  return p + j - 1;
 }
 
 TagSink LazyDfaSession::FallbackSink(const TagSink& sink) {
@@ -369,66 +412,458 @@ void LazyDfaSession::Feed(std::string_view chunk, const TagSink& sink) {
     return;
   }
   if (attr_on_) attr_dirty_ = true;
+  feed_begin_ = reinterpret_cast<const unsigned char*>(chunk.data());
+  feed_end_ = feed_begin_ + chunk.size();
+  // Every byte consumes one position except the absorb out of the
+  // stream-start state, which moves feed_base_ back by one.
+  feed_base_ = consumed_;
+  const unsigned char* p = feed_begin_;
+  while (p < feed_end_ && !stopped_ && !fallback_) {
+    const size_t left = static_cast<size_t>(feed_end_ - p);
+    if (left < kLaneFloor) {
+      p = RunSequential(p, feed_end_, sink);
+    } else if (dfa_[IdOf(state_)].pending_cls < 0) {
+      p = RunSequential(p, p + 1, sink);  // the stream-start absorb
+    } else if (memo_empty()) {
+      // Lanes 1-3 would have no guess to start from: step a floor's worth
+      // sequentially to teach the memo (and stop as early as a sequential
+      // feed when the sink stops).
+      p = RunSegment(p, p + kLaneFloor, sink);
+    } else {
+      p = FeedLanes(p, left > kLaneWindow ? p + kLaneWindow : feed_end_,
+                    sink);
+    }
+  }
+  if (fallback_) {
+    // The scratch session holds the exact current configuration and
+    // stream position; the rest of the stream runs pure fused.
+    FeedFallback(std::string_view(reinterpret_cast<const char*>(p),
+                                  static_cast<size_t>(feed_end_ - p)),
+                 sink);
+    return;
+  }
+  consumed_ = Pos(p);
+}
+
+const unsigned char* LazyDfaSession::RunSequential(const unsigned char* p,
+                                                   const unsigned char* stop,
+                                                   const TagSink& sink) {
   const uint8_t* const class_of = tagger_->fused().classifier().class_map();
-  const unsigned char* const begin =
-      reinterpret_cast<const unsigned char*>(chunk.data());
-  const unsigned char* const end = begin + chunk.size();
-  const unsigned char* p = begin;
-  // The stream position of byte p is base + (p - begin): every byte
-  // consumes one position except the absorb out of the stream-start
-  // state, which moves base back by one.
-  uint64_t base = consumed_;
-  const uint32_t* next = next_.data();
+  Record* const rec = run_rec_.data();
   uint32_t s = state_;
-  bool idle = IdleEligible(dfa_[IdOf(s)]);
-  while (p < end) {
-    if (idle) p = SkipIdle(dfa_[IdOf(s)], p, end);
-    // The warm loop: fast edges never emit, never enter an idle-eligible
-    // state and never leave the stream-start state.
+  while (p < stop) {
+    // The warm loop, in runs short enough that the record buffer cannot
+    // fill: fast edges may emit, but never start a skip, build, or leave
+    // the stream-start state.
     const unsigned char* const run = p;
-    uint32_t e;
+    const unsigned char* const run_end =
+        static_cast<size_t>(stop - p) > kRunRecords ? p + kRunRecords : stop;
+    const uint32_t* const next = next_.data();
+    size_t n = 0;
     for (;;) {
-      e = next[s + class_of[*p]];
+      const uint32_t edge = s + class_of[*p];
+      const uint32_t e = next[edge];
       if (e & kSlowEdge) break;
-      s = e;
-      if (++p == end) break;
+      rec[n] = Record{edge, static_cast<uint32_t>(p - run)};
+      n += e >> 30;
+      s = e & kEdgeRow;
+      if (++p == run_end) break;
+    }
+    if (n != 0) {
+      uint64_t skipped = 0, misses = 0;  // warm runs record no events
+      bool halted = false;
+      const size_t done =
+          Replay(rec, n, Pos(run), sink, &skipped, &misses, &halted);
+      if (stopped_) {
+        // Stop right after the edge whose tags stopped the sink.
+        const Record& last = rec[done - 1];
+        s = next_[last.what] & kEdgeRow;
+        p = run + last.off + 1;
+        if (attr_on_) attr_dfa_hits_ += last.off + 1;
+        break;
+      }
     }
     if (attr_on_) attr_dfa_hits_ += static_cast<uint64_t>(p - run);
-    if (p == end) break;
-    const uint8_t cls = class_of[*p];
-    if (e == kUnbuiltEdge) {
-      if (attr_on_) ++attr_dfa_misses_;
-      state_ = s;
-      consumed_ = base + static_cast<uint64_t>(p - begin);
-      if (!BuildTransition(cls)) {
-        // The scratch session holds the exact current configuration and
-        // stream position; the rest of the stream runs pure fused.
-        FeedFallback(std::string_view(reinterpret_cast<const char*>(p),
-                                      static_cast<size_t>(end - p)),
-                     sink);
-        return;
-      }
-      s = state_;  // a flush re-interns the current state
-      next = next_.data();
-      e = next[s + cls];
-    } else if (attr_on_) {
-      ++attr_dfa_hits_;
-    }
-    if (dfa_[IdOf(s)].pending_cls < 0) {
-      --base;  // absorb: the byte only becomes the pending look-ahead
-    } else if (const uint32_t ref = emit_ref_[s + cls]; ref != 0) {
-      const EmitSpan span = emit_spans_[ref];
-      const uint64_t at = base + static_cast<uint64_t>(p - begin);
-      const int32_t* tok = emit_pool_.data() + span.begin;
-      for (uint32_t k = 0; k < span.count; ++k) Deliver(tok[k], at, sink);
-    }
-    s = e & ~kSlowEdge;
-    ++p;
-    if (stopped_) break;
-    idle = IdleEligible(dfa_[IdOf(s)]);
+    if (p == run_end) continue;
+    state_ = s;
+    p = SlowStep(p, sink);
+    s = state_;
+    if (stopped_ || fallback_) break;
   }
   state_ = s;
-  consumed_ = base + static_cast<uint64_t>(p - begin);
+  return p;
+}
+
+const unsigned char* LazyDfaSession::SlowStep(const unsigned char* p,
+                                              const TagSink& sink) {
+  uint32_t s = state_;
+  if (IdleEligible(dfa_[IdOf(s)])) p = SkipIdle(dfa_[IdOf(s)], p, feed_end_);
+  const uint8_t cls = tagger_->fused().classifier().class_map()[*p];
+  if (next_[s + cls] == kUnbuiltEdge) {
+    if (attr_on_) ++attr_dfa_misses_;
+    consumed_ = Pos(p);
+    if (!BuildTransition(cls)) return p;
+    s = state_;  // a flush re-interns the current state
+  } else if (attr_on_) {
+    ++attr_dfa_hits_;
+  }
+  const uint32_t edge = s + cls;
+  const uint32_t e = next_[edge];
+  if (dfa_[IdOf(s)].pending_cls < 0) {
+    --feed_base_;  // absorb: the byte only becomes the pending look-ahead
+  } else if (e & kEmitEdge) {
+    DeliverEdge(edge, Pos(p), sink);
+  }
+  state_ = e & kEdgeRow;
+  return p + 1;
+}
+
+size_t LazyDfaSession::Replay(const Record* rec, size_t n, uint64_t at0,
+                              const TagSink& sink, uint64_t* skipped,
+                              uint64_t* misses, bool* halted) {
+  for (size_t i = 0; i < n; ++i) {
+    const Record r = rec[i];
+    if ((r.what & (kEventRecord | kDeferRecord)) == 0) {
+      DeliverEdge(r.what, at0 + r.off, sink);
+      if (stopped_) return i + 1;
+    } else if ((r.what & kEventRecord) == 0) {
+      // A guessed lane's deferred build, now on the true path: build it
+      // here unless an earlier step already did (then it is a hit), or
+      // leave it to the sequential path when its checks could intervene.
+      const uint32_t edge = r.what & kEdgeRow;
+      if (next_[edge] != kUnbuiltEdge) continue;
+      if (!MayBuildInPlace()) {
+        *halted = true;
+        return i;
+      }
+      const uint8_t cls = static_cast<uint8_t>(edge % num_classes_);
+      BuildEdge(edge - cls, cls);
+      ++*misses;
+    } else if (r.off == kSkipEvent) {
+      const uint32_t bytes = r.what & ((1u << 24) - 1);
+      SkipMetrics::Get()
+          .Of(static_cast<SkipMetrics::Kind>((r.what >> 27) & 3),
+              static_cast<SkipStrategy>((r.what >> 24) & 7))
+          ->Increment(bytes);
+      *skipped += bytes;
+    } else {
+      ++*misses;
+    }
+  }
+  return n;
+}
+
+const unsigned char* LazyDfaSession::FeedLanes(const unsigned char* begin,
+                                               const unsigned char* end,
+                                               const TagSink& sink) {
+  if (lane_rec_.empty()) {
+    lane_rec_.resize(kLanes * kLaneRecords);
+    lane_charge_.Add(lane_rec_.size() * sizeof(Record));
+  }
+  ++lane_windows_;
+  window_ = begin;
+  return LaneRange(begin, end, kLanes, sink);
+}
+
+const unsigned char* LazyDfaSession::LaneRange(const unsigned char* begin,
+                                               const unsigned char* end,
+                                               size_t count,
+                                               const TagSink& sink) {
+  if (count < 2 || static_cast<size_t>(end - begin) < kLaneRangeFloor) {
+    return RunSegment(begin, end, sink);
+  }
+  // Lane k starts at the cut CutLane picks at or past the k-th of `count`
+  // equal parts; lane 0 starts at `begin` with the true state.
+  Lane lanes[kLanes];
+  const size_t part = static_cast<size_t>(end - begin) / count;
+  lanes[0].begin = begin;
+  lanes[0].entry = state_;
+  for (size_t k = 1; k < count; ++k) {
+    CutLane(std::max(lanes[k - 1].begin, begin + k * part), end, &lanes[k]);
+  }
+  for (size_t k = 0; k < count; ++k) {
+    Lane& lane = lanes[k];
+    lane.end = k + 1 < count ? lanes[k + 1].begin : end;
+    lane.p = lane.begin;
+    lane.s = lane.entry;
+    lane.rec = lane_rec_.data() + k * kLaneRecords;
+    lane.live = lane.begin < lane.end && (k == 0 || lane.guessed);
+  }
+  const uint64_t flushes = flushes_;
+  RunLanes(lanes, count);
+
+  // Merge in stream order. p and state_ are the true position and state.
+  const unsigned char* p = begin;
+  for (size_t k = 0; k < count && !stopped_ && !fallback_; ++k) {
+    Lane& lane = lanes[k];
+    if (p >= lane.end) continue;
+    bool verified = k == 0;
+    if (k > 0 && p == lane.begin) {
+      // state_ is the true state right after the cut: check the guess and
+      // teach the memo.
+      if (lane.guessed && flushes_ == flushes) {
+        verified = lane.entry == state_;
+        if (!verified) ++lane_guess_misses_;
+      }
+      Learn(lane.context);
+    }
+    if (verified) p = ReplayLane(lane, sink);
+    // The rest of a segment whose lane stopped short (a miss it could not
+    // build, a full buffer) or had no right guess: lanes 0..k are
+    // replayed, so their buffers lane it from the true state.
+    if (p < lane.end && !stopped_) p = LaneRange(p, lane.end, k + 1, sink);
+  }
+  return p;
+}
+
+namespace {
+
+// The 16 bytes ending at the cut byte `at`, hashed. Sixteen, not eight:
+// on the XML-RPC stream "</methodCall>\n" leads into two states, told
+// apart by the byte before the tag.
+uint64_t CutContext(const unsigned char* at) {
+  uint64_t w[2];
+  std::memcpy(w, at - 15, sizeof(w));
+  return HashMix64(w[0] * 0x9E3779B97F4A7C15ull, w[1]);
+}
+
+}  // namespace
+
+const unsigned char* LazyDfaSession::RunSegment(const unsigned char* p,
+                                                const unsigned char* end,
+                                                const TagSink& sink) {
+  while (p < end && !stopped_ && !fallback_) {
+    const unsigned char* cut = static_cast<const unsigned char*>(
+        std::memchr(p, kLaneCut, static_cast<size_t>(end - p)));
+    const unsigned char* const stop = cut != nullptr ? cut + 1 : end;
+    p = RunSequential(p, stop, sink);
+    if (p == stop && cut != nullptr && cut - feed_begin_ >= 15) {
+      Learn(CutContext(cut));
+    }
+  }
+  return p;
+}
+
+void LazyDfaSession::Learn(uint64_t context) {
+  MemoOf(context) = Memo{context, state_};
+}
+
+void LazyDfaSession::CutLane(const unsigned char* from,
+                             const unsigned char* end, Lane* lane) {
+  // The first cut whose context the memo knows, within kCutScan bytes; the
+  // first cut otherwise (its lane then has no guess and does not run).
+  const unsigned char* const scan_end =
+      static_cast<size_t>(end - from) > kCutScan ? from + kCutScan : end;
+  const unsigned char* at = nullptr;
+  for (const unsigned char* q = from; q < scan_end; ++q) {
+    q = static_cast<const unsigned char*>(
+        std::memchr(q, kLaneCut, static_cast<size_t>(scan_end - q)));
+    if (q == nullptr) break;
+    const uint64_t context = CutContext(q);
+    const Memo& memo = MemoOf(context);
+    if (memo.row != kNoDfaState && memo.context == context) {
+      at = q;
+      break;
+    }
+  }
+  if (at == nullptr) {
+    at = static_cast<const unsigned char*>(
+        std::memchr(from, kLaneCut, static_cast<size_t>(end - from)));
+  }
+  if (at == nullptr) {
+    lane->begin = end;
+    return;
+  }
+  lane->begin = at + 1;
+  lane->context = CutContext(at);
+  const Memo& memo = MemoOf(lane->context);
+  lane->guessed = memo.row != kNoDfaState && memo.context == lane->context;
+  lane->entry = lane->guessed ? memo.row : kNoDfaState;
+}
+
+void LazyDfaSession::RunLanes(Lane* lanes, size_t count) {
+  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  Lane* live[kLanes];
+  for (;;) {
+    size_t a = 0;
+    for (size_t k = 0; k < count; ++k) {
+      Lane& lane = lanes[k];
+      if (!lane.live) continue;
+      if (lane.p == lane.end || kLaneRecords - lane.n <= kSlowRecords) {
+        lane.live = false;
+        continue;
+      }
+      live[a++] = &lane;
+    }
+    switch (a) {
+      case 0:
+        return;
+      case 1:
+        StepLanes<1>(live);
+        break;
+      case 2:
+        StepLanes<2>(live);
+        break;
+      case 3:
+        StepLanes<3>(live);
+        break;
+      default:
+        StepLanes<4>(live);
+        break;
+    }
+    for (size_t i = 0; i < a; ++i) {
+      Lane& lane = *live[i];
+      // Slow steps come in runs on a cold table (one miss after another):
+      // take a run here rather than one step per interleaved round.
+      while (lane.live && lane.p < lane.end &&
+             kLaneRecords - lane.n > kSlowRecords &&
+             (next_[lane.s + class_of[*lane.p]] & kSlowEdge) != 0) {
+        LaneSlow(lane);
+      }
+    }
+  }
+}
+
+template <size_t A>
+void LazyDfaSession::StepLanes(Lane* const* live) {
+  const uint8_t* const class_of = tagger_->fused().classifier().class_map();
+  const uint32_t* const next = next_.data();
+  const unsigned char* p[A];
+  Record* rec[A];
+  size_t n[A];
+  uint32_t s[A];
+  uint32_t off[A];
+  // Every lane has m bytes left in its segment and room for m records
+  // plus one slow step.
+  size_t m = ~size_t{0};
+  for (size_t i = 0; i < A; ++i) {
+    const Lane& lane = *live[i];
+    p[i] = lane.p;
+    rec[i] = lane.rec;
+    n[i] = lane.n;
+    s[i] = lane.s;
+    off[i] = static_cast<uint32_t>(lane.p - window_);
+    m = std::min(m, static_cast<size_t>(lane.end - lane.p));
+    m = std::min(m, kLaneRecords - kSlowRecords - lane.n);
+  }
+  size_t j = 0;
+  for (; j < m; ++j) {
+    uint32_t edge[A];
+    uint32_t e[A];
+    uint32_t any = 0;
+    for (size_t i = 0; i < A; ++i) {
+      edge[i] = s[i] + class_of[p[i][j]];
+      e[i] = next[edge[i]];
+      any |= e[i];
+    }
+    if (any & kSlowEdge) break;
+    for (size_t i = 0; i < A; ++i) {
+      rec[i][n[i]] = Record{edge[i], off[i] + static_cast<uint32_t>(j)};
+      n[i] += e[i] >> 30;
+      s[i] = e[i] & kEdgeRow;
+    }
+  }
+  for (size_t i = 0; i < A; ++i) {
+    Lane& lane = *live[i];
+    lane.p = p[i] + j;
+    lane.n = n[i];
+    lane.s = s[i];
+  }
+}
+
+void LazyDfaSession::LaneSlow(Lane& lane) {
+  const FusedTagger& f = tagger_->fused();
+  const uint8_t* const class_of = f.classifier().class_map();
+  const unsigned char* p = lane.p;
+  const uint32_t s = lane.s;
+  const DfaStateInfo& info = dfa_[IdOf(s)];
+  if (info.pending_cls < 0) {
+    lane.live = false;  // the absorb is the sequential path's
+    return;
+  }
+  const SkipMetrics::Kind kind = IdleSkipKind(f, info, class_of[*p]);
+  if (kind != SkipMetrics::kNumKinds) {
+    const size_t left = static_cast<size_t>(lane.end - p);
+    SkipStrategy strategy;
+    const size_t j = IdleRun(kind, p, left, &strategy);
+    if (j == left && lane.end != feed_end_) {
+      // The run may go on past the segment, where a sequential feed's
+      // skip would too: leave it to the sequential path.
+      lane.live = false;
+      return;
+    }
+    if (j > 1) {
+      lane.rec[lane.n++] =
+          Record{kEventRecord | static_cast<uint32_t>(kind) << 27 |
+                     static_cast<uint32_t>(strategy) << 24 |
+                     static_cast<uint32_t>(j - 1),
+                 kSkipEvent};
+      p += j - 1;
+    }
+  }
+  const uint8_t cls = class_of[*p];
+  const uint32_t edge = s + cls;
+  const uint32_t off = static_cast<uint32_t>(p - window_);
+  uint32_t e = next_[edge];
+  if (e == kUnbuiltEdge) {
+    if (lane.guessed) {
+      // A guessed lane only reads the table (see the class comment).
+      bool emits = false;
+      const uint32_t row = ImportTarget(s, cls, &emits);
+      if (row == kNoDfaState) {
+        lane.p = p;
+        lane.live = false;
+        return;
+      }
+      lane.rec[lane.n++] = Record{kDeferRecord | edge, off};
+      e = row | (emits ? kEmitEdge : 0);
+    } else if (MayBuildInPlace()) {
+      BuildEdge(s, cls);
+      lane.rec[lane.n++] = Record{kEventRecord | edge, kMissEvent};
+      e = next_[edge];
+    } else {
+      lane.p = p;
+      lane.live = false;
+      return;
+    }
+  }
+  if (e & kEmitEdge) lane.rec[lane.n++] = Record{edge, off};
+  lane.s = e & kEdgeRow;
+  lane.p = p + 1;
+}
+
+const unsigned char* LazyDfaSession::ReplayLane(const Lane& lane,
+                                                const TagSink& sink) {
+  uint64_t skipped = 0, misses = 0;
+  bool halted = false;
+  const size_t done = Replay(lane.rec, lane.n, Pos(window_), sink, &skipped,
+                             &misses, &halted);
+  const unsigned char* p = lane.p;
+  state_ = lane.s;
+  if (halted) {
+    // The sequential path takes the deferred edge, from its source state.
+    const uint32_t edge = lane.rec[done].what & kEdgeRow;
+    state_ = edge - edge % static_cast<uint32_t>(num_classes_);
+    p = window_ + lane.rec[done].off;
+  } else if (stopped_) {
+    const Record& last = lane.rec[done - 1];
+    state_ = next_[last.what] & kEdgeRow;
+    p = window_ + last.off + 1;
+    // A sequential feed stops here, so it never built the misses lane 0
+    // built further on: unbuild them.
+    for (size_t i = done; i < lane.n; ++i) {
+      const Record& r = lane.rec[i];
+      if ((r.what & kEventRecord) != 0 && r.off == kMissEvent) {
+        next_[r.what & kEdgeRow] = kUnbuiltEdge;
+      }
+    }
+  }
+  if (attr_on_) {
+    // Every byte the lane passed is a skip, a miss or a hit.
+    attr_dfa_hits_ += static_cast<uint64_t>(p - lane.begin) - skipped - misses;
+    attr_dfa_misses_ += misses;
+  }
+  return p;
 }
 
 void LazyDfaSession::Finish(const TagSink& sink) {

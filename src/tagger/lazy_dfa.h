@@ -87,17 +87,50 @@ struct DfaCacheMetrics {
 //
 // The transitions live in one flat, session-owned table: next_[row + cls]
 // for the state whose row offset is row = id * num_classes holds the
-// target's row offset, so a warm byte is
+// target's row offset and two flag bits (dfa_state.h), so a warm byte is
 //
-//   e = next_[s + class_of[*p]]; if (e & kSlowEdge) break; s = e;
+//   edge = s + class_of[*p]; e = next_[edge]; if (e & kSlowEdge) break;
+//   rec[n] = {edge, p - run}; n += e >> 30; s = e & kEdgeRow;
 //
-// with s and p in registers; tag end offsets follow from p. An edge is
-// slow (dfa_state.h) when it is unbuilt, emits, enters an idle-eligible
-// state (dead with a pending byte, where the delimiter / anchored-dead /
-// resync-garbage / armed-byte skip paths run), or leaves the no-pending
-// stream-start state. The slow path replays the edge's emission span
-// (emit_ref_ runs parallel to next_ and only slow edges read it), runs the
-// skip paths, and builds misses (below).
+// with s, p and n in registers. An emitting edge (kEmitEdge) stays on
+// this path: it leaves a record in a bounded buffer, and the run's records
+// are replayed in stream order through the sink when the run ends (tag end
+// offsets follow from the record's offset). An edge is slow only when it
+// is unbuilt, leaves the no-pending stream-start state, or can start an
+// idle skip (IdleSkipKind: the delimiter / anchored-dead / resync-garbage /
+// armed-byte skip paths). The slow path runs the skip, builds misses
+// (below) and replays the edge's emission span (emit_ref_ runs parallel to
+// next_).
+//
+// Four lanes. A chunk of at least kLaneFloor bytes is stepped in windows
+// of up to kLaneWindow bytes, each cut into kLanes segments just after a
+// kLaneCut byte (the record separator) near its quarter points, and the
+// segments are stepped together in one interleaved loop, so the four
+// dependent table loads per step overlap. Lane 0 starts from the true
+// state; lanes 1-3 start from a guess out of the session's memo, which
+// keeps, per context of a cut (the bytes just before it), the state last
+// seen right after it. Each lane writes its emissions and its bookkeeping
+// (skips taken, misses built) as records into its own buffer. The lanes
+// are then merged in stream order: a lane's guessed entry state is checked
+// against the true exit state of the segment before it, and only a
+// verified lane's records are replayed. The rest of a segment whose lane
+// guessed wrong, had no guess or stopped short is laned again from the
+// true state on the buffers of the lanes already replayed (LaneRange), and
+// every sequential run teaches the memo the state after each record byte
+// it passes. Because every cut is verified, the
+// tags, their order and offsets, the stop point, the skip counters and the
+// hit/miss attribution equal a sequential feed of the same chunk. Only
+// lane 0, which is on the true path, builds misses in place, and it stops
+// at any build that could flush, shed or fall back (and whenever a fault
+// is armed). A guessed lane never writes the table: at an unbuilt edge
+// whose import would land on a state already in the table it steps to
+// that state and leaves a deferred-build record, and the replay builds
+// the edge in stream order, with the sequential path's checks (a replay
+// that meets a build the checks forbid ends there, and the sequential
+// path goes on from that byte). Any other miss stops a guessed lane, as
+// do a full buffer and an idle skip that reaches the segment's end. So the
+// table grows, flushes and counts misses exactly as under a sequential
+// feed, whatever the guesses.
 //
 // A miss is built by a DfaStates step (an absorb or one real fused step)
 // whose result is interned by the same DfaStates builder the AOT bake
@@ -162,25 +195,180 @@ class LazyDfaSession {
   uint64_t cache_imports() const { return imports_; }
   bool fallback_active() const { return fallback_; }
 
+  // Lane introspection since the session was created or rebound: windows
+  // stepped on lanes, and lanes whose guessed entry state proved wrong
+  // (the rest of their segment was tagged again from the true state).
+  uint64_t lane_windows() const { return lane_windows_; }
+  uint64_t lane_guess_misses() const { return lane_guess_misses_; }
+
+  // The lane geometry (see the class comment). A window's records must
+  // fit a skip record's 24-bit byte count.
+  static constexpr size_t kLanes = 4;
+  static constexpr size_t kLaneFloor = size_t{16} << 10;
+  static constexpr size_t kLaneWindow = size_t{64} << 10;
+  static constexpr unsigned char kLaneCut = '\n';
+  // Records per lane buffer and per sequential warm run: 3072 records
+  // hold a 16 KiB segment at up to ~0.18 emitting edges per byte.
+  static constexpr size_t kLaneRecords = 3072;
+  static constexpr size_t kRunRecords = 512;
+  // How far past a quarter point a cut may move to find a context the
+  // memo knows.
+  static constexpr size_t kCutScan = 1024;
+  // The shortest rest of a segment that is laned again after its lane
+  // stopped short.
+  static constexpr size_t kLaneRangeFloor = size_t{2} << 10;
+
  private:
-  // Id of the state whose row starts at `row`.
+  // One entry of a warm run's or a lane's record buffer. what < 2^30 is an
+  // emitting edge taken at byte `off` (counted from the run or window
+  // start). what = kDeferRecord | x is a guessed lane's step at byte `off`
+  // over the unbuilt edge x, built at replay. what = kEventRecord | x is
+  // other bookkeeping, named by `off`: kMissEvent (lane 0 built the miss
+  // edge x) or kSkipEvent (an idle skip, x = kind << 27 | strategy << 24 |
+  // bytes). Records replay in stream order.
+  struct Record {
+    uint32_t what;
+    uint32_t off;
+  };
+  static constexpr uint32_t kEventRecord = 1u << 31;
+  static constexpr uint32_t kDeferRecord = 1u << 30;
+  enum : uint32_t { kMissEvent, kSkipEvent };
+  static_assert(kLaneWindow < (size_t{1} << 24), "skip records count bytes");
+  // Records a slow step may add: a skip, a miss or deferred build, an
+  // emission.
+  static constexpr size_t kSlowRecords = 3;
+
+  // One segment of a laned window: [begin, end), stepped from `entry` up
+  // to p (state s) with its records in rec[0, n).
+  struct Lane {
+    const unsigned char* begin = nullptr;
+    const unsigned char* end = nullptr;
+    const unsigned char* p = nullptr;
+    Record* rec = nullptr;
+    size_t n = 0;
+    uint32_t entry = 0;
+    uint32_t s = 0;
+    uint64_t context = 0;  // CutContext of the cut (lanes 1-3)
+    bool guessed = false;  // entered from the memo, not the true state
+    bool live = false;     // still stepping
+  };
+
+  // A memo slot: for one cut context (a hash of the 16 bytes ending in a
+  // cut byte, direct-mapped into kMemoSlots slots), the row of the true
+  // state last seen right after it.
+  struct Memo {
+    uint64_t context = 0;
+    uint32_t row = kNoDfaState;
+  };
+  static constexpr size_t kMemoSlots = 16;
+
+  // Id of the state whose row starts at `row`: row * ceil(2^32 / classes)
+  // >> 32 is exact for rows (multiples of num_classes_ below 2^30).
   uint32_t IdOf(uint32_t row) const {
-    return row / static_cast<uint32_t>(num_classes_);
+    return static_cast<uint32_t>((row * row_recip_) >> 32);
   }
-  // Interns dfa_'s working configuration. A new state gets an all-unbuilt
-  // row and the baked twin `twin` (looked up when kNoDfaState), and is
-  // charged to the cache.
+  // Stream position of byte q of the chunk being fed.
+  uint64_t Pos(const unsigned char* q) const {
+    return feed_base_ + static_cast<uint64_t>(q - feed_begin_);
+  }
+  // Interns dfa_'s working configuration (see AddState).
   uint32_t InternState(uint32_t twin);
+  // Gives the new state `id` an all-unbuilt row and the baked twin `twin`
+  // (looked up when kNoDfaState), and charges it to the cache.
+  void AddState(uint32_t id, uint32_t twin);
   // Builds the edge out of the current state on input class `cls`, by
   // import or by a fused step, flushing first if the cache is over budget
   // (which may move state_). Returns false when the session entered
   // fallback mode instead.
   bool BuildTransition(uint8_t cls);
+  // Builds the edge out of the state at `row` on class `cls` (import or
+  // fused step), with no budget checks.
+  void BuildEdge(uint32_t row, uint8_t cls);
+  // Whether a miss may be built outside BuildTransition: no flush, shed or
+  // fault could intervene (see the class comment).
+  bool MayBuildInPlace() const;
+  // The row the unbuilt edge out of the state at `row` on class `cls`
+  // would lead to if it is an import into a state already in the table
+  // (*emits tells whether it emits), or kNoDfaState.
+  uint32_t ImportTarget(uint32_t row, uint8_t cls, bool* emits) const;
+  // The length j of the inert run of kind `kind` at p[0, n): the machine
+  // may jump to p + j - 1 and take one real transition there (a skip
+  // when j > 1). j == n when the run reaches the end.
+  size_t IdleRun(SkipMetrics::Kind kind, const unsigned char* p, size_t n,
+                 SkipStrategy* strategy) const;
   // The idle fast paths from the idle-eligible state `info` at `p`:
   // returns the byte at which the one real transition is taken.
   const unsigned char* SkipIdle(const DfaStateInfo& info,
                                 const unsigned char* p,
                                 const unsigned char* end) const;
+  // Steps state_ from p until `stop` (idle skips may run on to the chunk
+  // end), stopped_ or fallback_; returns the position reached.
+  const unsigned char* RunSequential(const unsigned char* p,
+                                     const unsigned char* stop,
+                                     const TagSink& sink);
+  // Takes the slow edge at p out of state_; returns the next byte.
+  const unsigned char* SlowStep(const unsigned char* p, const TagSink& sink);
+  // True until the memo has learned a cut (a fresh session, or after a
+  // flush): lanes 1-3 would have no guess.
+  bool memo_empty() const {
+    for (const Memo& memo : memo_) {
+      if (memo.row != kNoDfaState) return false;
+    }
+    return true;
+  }
+  // The memo slot of a cut context.
+  Memo& MemoOf(uint64_t context) {
+    return memo_[(context * 0x9E3779B97F4A7C15ull) >> 60];
+  }
+  // Cuts a lane just after a kLaneCut byte at or after `from`, preferring
+  // (within kCutScan bytes) one whose context the memo knows, and guesses
+  // its entry state from the memo. Sets the lane's begin, context and
+  // guess; begin = end when the window has no cut byte left.
+  void CutLane(const unsigned char* from, const unsigned char* end,
+               Lane* lane);
+  // Runs [p, end) sequentially, teaching the memo the true state after
+  // every cut byte on the way; returns the position reached.
+  const unsigned char* RunSegment(const unsigned char* p,
+                                  const unsigned char* end,
+                                  const TagSink& sink);
+  // Teaches the memo that `context` led into state_.
+  void Learn(uint64_t context);
+  // Tags the window [begin, end) on lanes; returns the position reached.
+  const unsigned char* FeedLanes(const unsigned char* begin,
+                                 const unsigned char* end,
+                                 const TagSink& sink);
+  // Tags [begin, end) of the window on `count` lanes (the first `count`
+  // lane buffers) from state_, or sequentially when count < 2 or the range
+  // is shorter than kLaneRangeFloor; returns the position reached.
+  const unsigned char* LaneRange(const unsigned char* begin,
+                                 const unsigned char* end, size_t count,
+                                 const TagSink& sink);
+  // Steps the live lanes of lanes[0, count) until each ends its segment
+  // or stops.
+  void RunLanes(Lane* lanes, size_t count);
+  // One interleaved run of the A lanes in `live` up to the first slow edge
+  // any of them meets.
+  template <size_t A>
+  void StepLanes(Lane* const* live);
+  // Takes the slow edge at a lane's position, or stops the lane.
+  void LaneSlow(Lane& lane);
+  // Replays a verified lane and moves state_ to its exit (or to just after
+  // the edge that stopped the sink); returns the position reached.
+  const unsigned char* ReplayLane(const Lane& lane, const TagSink& sink);
+  // Replays rec[0, n), whose offsets count from stream position `at0`;
+  // adds the skipped bytes and misses of event records. Returns the number
+  // replayed: fewer than n when the sink stopped (rec[result - 1] holds the
+  // edge that stopped it) or when a deferred build may not run here
+  // (*halted is set, and rec[result] is that build's record).
+  size_t Replay(const Record* rec, size_t n, uint64_t at0,
+                const TagSink& sink, uint64_t* skipped, uint64_t* misses,
+                bool* halted);
+  // Delivers the tags of the emitting `edge` at stream position `at`.
+  void DeliverEdge(uint32_t edge, uint64_t at, const TagSink& sink) {
+    const EmitSpan span = emit_spans_[emit_ref_[edge]];
+    const int32_t* tok = emit_pool_.data() + span.begin;
+    for (uint32_t k = 0; k < span.count; ++k) Deliver(tok[k], at, sink);
+  }
   // Whether a tag ending at `end` reaches the sink (it lies before the
   // emission cutoff); counts it as delivered when it does.
   bool PassCutoff(uint64_t end) {
@@ -227,21 +415,43 @@ class LazyDfaSession {
 
   // The flat table (see the class comment): next_ and emit_ref_ are
   // row-major [id * num_classes_ + cls], emit_ref_ indexes emit_spans_,
-  // whose spans index emit_pool_. dfa_ holds the states the ids name, and
+  // whose spans index emit_pool_. dfa_ holds the states the ids name,
   // twin_[id] is the baked state equal to state id (kNoDfaState if none),
-  // so an import needs no configuration lookup in the baked table.
+  // and of_twin_ is its inverse over the baked states (sized at the baked
+  // table, charged to the process budget as "dfa_twins", not to
+  // dfa_cache_bytes), so an import looks up neither configuration.
   std::vector<uint32_t> next_;
   std::vector<uint32_t> emit_ref_;
   std::vector<EmitSpan> emit_spans_;
   std::vector<int32_t> emit_pool_;
   DfaStates dfa_;
   std::vector<uint32_t> twin_;
+  std::vector<uint32_t> of_twin_;
+  core::resilience::ScopedCharge twin_charge_{"dfa_twins"};
   size_t cache_bytes_ = 0;
   size_t num_classes_ = 0;
+  uint64_t row_recip_ = 0;  // see IdOf
   // Mirrors cache_bytes_ into the process resource budget so a fleet of
   // sessions shows up as one "dfa_cache" footprint; under budget pressure
   // the kShedDfa rung stops further growth (see BuildTransition).
   core::resilience::ScopedCharge budget_{"dfa_cache"};
+
+  // Record buffers: one for sequential warm runs, and kLanes lane buffers
+  // allocated at the first laned window and charged as "dfa_lanes".
+  std::vector<Record> run_rec_;
+  std::vector<Record> lane_rec_;
+  core::resilience::ScopedCharge lane_charge_{"dfa_lanes"};
+  // The memo lanes 1-3 start from (see Memo).
+  Memo memo_[kMemoSlots];
+  uint64_t lane_windows_ = 0;
+  uint64_t lane_guess_misses_ = 0;
+
+  // The chunk being fed: byte q sits at stream position Pos(q).
+  const unsigned char* feed_begin_ = nullptr;
+  const unsigned char* feed_end_ = nullptr;
+  uint64_t feed_base_ = 0;
+  // Lane record offsets count from here (the window start).
+  const unsigned char* window_ = nullptr;
 
   uint32_t state_ = 0;  // row offset of the current state
   uint64_t consumed_ = 0;

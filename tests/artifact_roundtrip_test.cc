@@ -351,7 +351,7 @@ std::string WithCacheBudget(std::string bytes, uint64_t dfa_cache_bytes) {
 }
 
 // A validly sealed header whose cache budget would let a session's row
-// offsets overflow the 31-bit premultiplied encoding is rejected before
+// offsets overflow the 30-bit premultiplied encoding is rejected before
 // any session runs.
 TEST(ArtifactLoaderHardeningTest, RejectsCacheBudgetBeyondRowEncoding) {
   const std::string bytes = ValidArtifact();

@@ -435,7 +435,12 @@ class ArtifactFixture : public ResilienceTest {
  protected:
   void SetUp() override {
     ResilienceTest::SetUp();
-    path_ = ::testing::TempDir() + "/resilience_artifact.cfgtag";
+    // One file per test case: ctest runs the cases as separate processes,
+    // possibly in parallel (-j), and each removes its file in TearDown.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/resilience_artifact_" +
+            (info != nullptr ? info->name() : "unknown") + ".cfgtag";
     hwgen::HwOptions opt;
     opt.tagger.arm_mode = tagger::ArmMode::kResync;
     auto t = core::CompiledTagger::Compile(Protocol(), opt);

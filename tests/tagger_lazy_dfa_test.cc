@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,8 +568,8 @@ TEST(LazyDfaFlatTableTest, FlushDropsImportedStatesThenReimports) {
 }
 
 // The baked table is shared, read-only artifact memory: a session charges
-// the process resource budget for its own cache only, through flushes,
-// and releases it with the session.
+// the process resource budget for its own cache and one id per baked
+// state only, through flushes, and releases both with the session.
 TEST(LazyDfaFlatTableTest, SessionChargeIsItsCacheBytes) {
   grammar::Grammar g = MustParse(kTwinGrammar);
   core::resilience::ResourceBudget& budget =
@@ -579,11 +580,14 @@ TEST(LazyDfaFlatTableTest, SessionChargeIsItsCacheBytes) {
   opt.dfa_flush_fallback = 1u << 30;
   artifact::LoadedTagger loaded = LoadWithAot(g, opt, 32);
   ASSERT_NE(loaded.engine->aot(), nullptr);
+  // Besides its cache, a session holds one id per baked state (the map
+  // from baked states to its own).
+  const uint64_t twins = loaded.engine->aot()->states.size() * sizeof(uint32_t);
   const uint64_t before = budget.used();
   {
     LazyDfaSession session = loaded.engine->NewSession();
     EXPECT_EQ(session.cache_states(), 1u);  // the stream-start state
-    EXPECT_EQ(budget.used() - before, session.cache_bytes());
+    EXPECT_EQ(budget.used() - before, session.cache_bytes() + twins);
     Rng rng(0xb0d6e7);
     for (int iter = 0; iter < 20; ++iter) {
       const std::string input = RandomInput(rng, 300);
@@ -593,7 +597,7 @@ TEST(LazyDfaFlatTableTest, SessionChargeIsItsCacheBytes) {
     }
     EXPECT_GT(session.cache_flushes(), 0u);
     EXPECT_GT(session.cache_imports(), 0u);
-    EXPECT_EQ(budget.used() - before, session.cache_bytes());
+    EXPECT_EQ(budget.used() - before, session.cache_bytes() + twins);
   }
   EXPECT_EQ(budget.used(), before);
 }
@@ -719,11 +723,11 @@ TEST(LazyDfaFlatTableTest, AttributionCountsImportsAsMisses) {
 }
 
 // dfa_cache_bytes bounds the session's state count; a budget whose worst
-// case overflows the 31-bit premultiplied row offsets is rejected up
+// case overflows the 30-bit premultiplied row offsets is rejected up
 // front instead of running the process out of memory first.
 TEST(LazyDfaFlatTableTest, RejectsCacheBudgetBeyondRowEncoding) {
   grammar::Grammar g = MustParse(kCalcGrammar);
-  for (size_t bytes : {~size_t{0}, size_t{1} << 34}) {
+  for (size_t bytes : {~size_t{0}, size_t{1} << 34, size_t{1} << 33}) {
     TaggerOptions opt;
     opt.dfa_cache_bytes = bytes;
     auto fused = FusedTagger::Create(&g, opt);
@@ -732,8 +736,550 @@ TEST(LazyDfaFlatTableTest, RejectsCacheBudgetBeyondRowEncoding) {
     EXPECT_FALSE(LazyDfaTagger::Create(&g, opt).ok());
   }
   TaggerOptions opt;
-  opt.dfa_cache_bytes = size_t{1} << 33;  // 8 GiB: still representable
+  opt.dfa_cache_bytes = size_t{1} << 32;  // 4 GiB: still representable
   EXPECT_TRUE(FusedTagger::Create(&g, opt).ok());
+}
+
+
+// --- Lanes ------------------------------------------------------------------
+
+constexpr size_t kLaneFloor = LazyDfaSession::kLaneFloor;
+constexpr size_t kLaneWindow = LazyDfaSession::kLaneWindow;
+
+// Random narrow grammar: a few short literals over a small alphabet, maybe
+// a number token, wired into right-linear productions.
+grammar::Grammar RandomNarrowGrammar(Rng& rng) {
+  grammar::Grammar g;
+  std::vector<int32_t> tokens;
+  for (int i = 0, n = 2 + static_cast<int>(rng.NextIndex(3)); i < n; ++i) {
+    std::string text(1, static_cast<char>('a' + i));
+    text += rng.NextString(1 + rng.NextIndex(3), "xyz");
+    auto t = g.AddLiteralToken(text);
+    if (t.ok()) tokens.push_back(*t);
+  }
+  if (rng.NextBool(0.6)) {
+    auto t = g.AddToken("NUM", "[0-9]+");
+    if (t.ok()) tokens.push_back(*t);
+  }
+  std::vector<int32_t> nts;
+  for (int i = 0, n = 2 + static_cast<int>(rng.NextIndex(2)); i < n; ++i) {
+    nts.push_back(g.AddNonterminal("n" + std::to_string(i)));
+  }
+  for (size_t i = 0; i < nts.size(); ++i) {
+    for (int a = 0, alts = 1 + static_cast<int>(rng.NextIndex(2)); a < alts;
+         ++a) {
+      std::vector<grammar::Symbol> rhs;
+      rhs.push_back(
+          grammar::Symbol::Terminal(tokens[rng.NextIndex(tokens.size())]));
+      for (int e = 0, extra = static_cast<int>(rng.NextIndex(3)); e < extra;
+           ++e) {
+        if (rng.NextBool(0.35) && i + 1 < nts.size()) {
+          rhs.push_back(grammar::Symbol::Nonterminal(
+              nts[i + 1 + rng.NextIndex(nts.size() - i - 1)]));
+        } else {
+          rhs.push_back(grammar::Symbol::Terminal(
+              tokens[rng.NextIndex(tokens.size())]));
+        }
+      }
+      g.AddProduction(nts[i], std::move(rhs));
+    }
+  }
+  g.SetStart(nts[0]);
+  return g;
+}
+
+// A newline-framed stream of at least `bytes` bytes: records of token
+// spellings (`words`) joined by short space runs, now and then garbage.
+// Every record starts and ends with a non-delimiter byte.
+std::string RecordStream(const std::vector<std::string>& words, Rng& rng,
+                         size_t bytes) {
+  std::string out;
+  while (out.size() < bytes) {
+    for (size_t w = 0, n = 1 + rng.NextIndex(6); w < n; ++w) {
+      if (w > 0) out.append(1 + rng.NextIndex(3), ' ');
+      out += rng.NextBool(0.1) ? rng.NextString(1 + rng.NextIndex(4), "?#")
+                               : words[rng.NextIndex(words.size())];
+    }
+    out.push_back('\n');
+  }
+  return out;
+}
+
+std::vector<std::string> Spellings(const grammar::Grammar& g, Rng& rng) {
+  std::vector<std::string> words;
+  for (const grammar::TokenDef& t : g.tokens()) {
+    words.push_back(t.is_literal ? t.literal_text
+                                 : std::to_string(rng.NextIndex(100000)));
+  }
+  return words;
+}
+
+const std::vector<std::string> kCalcWords = {"12+34", "abc", "9*8", "77",
+                                             "5-5",   "xyz", "7/8"};
+// The bytes that start a kCalcGrammar token (NUM or WORD).
+constexpr std::string_view kCalcStarts =
+    "0123456789abcdefghijklmnopqrstuvwxyz";
+
+// Feeds `input` whole (one Feed) and returns the tags.
+std::vector<Tag> FeedWhole(LazyDfaSession& session, std::string_view input) {
+  std::vector<Tag> tags;
+  const TagSink sink = [&](const Tag& tag) {
+    tags.push_back(tag);
+    return true;
+  };
+  session.Feed(input, sink);
+  session.Finish(sink);
+  EXPECT_EQ(session.bytes_consumed(), input.size());
+  return tags;
+}
+
+// Feeds `input` in random chunks of up to ~80 KiB, half of them long
+// enough to lane.
+std::vector<Tag> FeedLongChunks(LazyDfaSession& session,
+                                std::string_view input, Rng& rng) {
+  std::vector<Tag> tags;
+  const TagSink sink = [&](const Tag& tag) {
+    tags.push_back(tag);
+    return true;
+  };
+  for (size_t i = 0; i < input.size();) {
+    const size_t n = rng.NextBool() ? 1 + rng.NextIndex(kLaneFloor)
+                                    : kLaneFloor + rng.NextIndex(kLaneWindow);
+    session.Feed(input.substr(i, n), sink);
+    i += n;
+  }
+  session.Finish(sink);
+  EXPECT_EQ(session.bytes_consumed(), input.size());
+  return tags;
+}
+
+TEST(LazyDfaLaneTest, RandomNarrowGrammarsMatchFunctional) {
+  Rng rng(0x1a4e5);
+  for (int trial = 0; trial < 4; ++trial) {
+    grammar::Grammar g = RandomNarrowGrammar(rng);
+    const std::string input =
+        RecordStream(Spellings(g, rng), rng, 3 * kLaneWindow / 2);
+    for (ArmMode mode : kModes) {
+      TaggerOptions opt;
+      opt.arm_mode = mode;
+      opt.longest_match = rng.NextBool();
+      auto t = LazyDfaTagger::Create(&g, opt);
+      ASSERT_TRUE(t.ok()) << t.status();
+      const std::vector<Tag> want = Functional(g, opt, input);
+      LazyDfaSession session = t->NewSession();
+      for (int pass = 0; pass < 3; ++pass) {
+        session.Reset();
+        ExpectSameTags(want, pass == 1 ? FeedLongChunks(session, input, rng)
+                                       : FeedWhole(session, input));
+      }
+      // An anchored stream dies with its first record, and one skip jumps
+      // the rest of each chunk: nothing is left to lane.
+      if (mode != ArmMode::kAnchored) {
+        EXPECT_GT(session.lane_windows(), 0u) << "trial " << trial;
+      }
+    }
+  }
+}
+
+// Records cut off mid-message: every line ends in the same 16 bytes, but
+// a line "aa" leaves B armed for the next line and a line "bb" does not,
+// so the memo's guesses miss half the time, and a wrong guess would tag
+// the next line's "bb" differently. Those segments are re-run.
+TEST(LazyDfaLaneTest, CutOffRecordsMissGuessesButStayExact) {
+  grammar::Grammar g = MustParse("A [a]+\nB [b]+\n%%\ns: A B;\n%%\n");
+  Rng rng(0xc07);
+  std::string input;
+  while (input.size() < 2 * kLaneWindow) {
+    input += rng.NextBool() ? "aa" : "bb";
+    input.append(16, ' ');
+    input.push_back('\n');
+  }
+  for (ArmMode mode : {ArmMode::kScan, ArmMode::kResync}) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    const std::vector<Tag> want = Functional(g, opt, input);
+    LazyDfaSession session = t->NewSession();
+    for (int pass = 0; pass < 2; ++pass) {
+      session.Reset();
+      ExpectSameTags(want, FeedWhole(session, input));
+    }
+    EXPECT_GT(session.lane_windows(), 0u);
+    EXPECT_GT(session.lane_guess_misses(), 0u);
+  }
+}
+
+// An early stop inside lane 0, 1 and 3 of a window: the tags and the byte
+// ledger match the functional session's.
+TEST(LazyDfaLaneTest, EarlyStopInsideLanes) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0x5709);
+  const std::string input =
+      RecordStream({"abc", "12+3", "de", "4*56", "fgh"}, rng, kLaneWindow)
+          .substr(0, kLaneWindow);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    auto functional = FunctionalTagger::Create(&g, opt);
+    auto lazy = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(functional.ok() && lazy.ok());
+    const std::vector<Tag> all = functional->TagAll(input);
+    // A warm-up pass teaches the memo the state at the cuts.
+    LazyDfaSession session = lazy->NewSession();
+    ExpectSameTags(all, FeedWhole(session, input));
+    // Stop at the first tag past 1/8, 3/8 and 7/8 of the window.
+    for (size_t eighth : {1u, 3u, 7u}) {
+      const size_t at = kLaneWindow * eighth / 8;
+      size_t limit = 0;
+      while (limit < all.size() && all[limit].end < at) ++limit;
+      if (limit == all.size()) continue;  // anchored: dead after record 1
+      ++limit;
+      auto run = [&](auto s) {
+        std::vector<Tag> tags;
+        s.Feed(input, [&](const Tag& tag) {
+          tags.push_back(tag);
+          return tags.size() < limit;
+        });
+        return std::make_pair(tags, s.bytes_consumed());
+      };
+      session.Reset();
+      const uint64_t windows = session.lane_windows();
+      std::vector<Tag> got;
+      session.Feed(input, [&](const Tag& tag) {
+        got.push_back(tag);
+        return got.size() < limit;
+      });
+      const auto want = run(functional->NewSession());
+      ExpectSameTags(want.first, got);
+      EXPECT_EQ(session.bytes_consumed(), want.second) << "eighth " << eighth;
+      EXPECT_EQ(session.lane_windows(), windows + 1);
+    }
+    EXPECT_EQ(session.lane_guess_misses(), 0u);
+  }
+}
+
+// A starvation-sized cache: lanes stop at the builds that would flush,
+// and the sequential path flushes in their place.
+TEST(LazyDfaLaneTest, StarvedCacheFlushesWhileLaning) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0xf1a5);
+  const std::string input = RecordStream(
+      {"abc", "12+3", "de", "4*56", "fgh", "x", "9/9"}, rng, 2 * kLaneWindow);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    opt.dfa_cache_bytes = 1 << 11;
+    opt.dfa_flush_fallback = 1u << 30;  // never give up caching
+    auto t = LazyDfaTagger::Create(&g, opt);
+    ASSERT_TRUE(t.ok()) << t.status();
+    const std::vector<Tag> want = Functional(g, opt, input);
+    LazyDfaSession session = t->NewSession();
+    for (int pass = 0; pass < 3; ++pass) {
+      session.Reset();
+      ExpectSameTags(want, FeedLongChunks(session, input, rng));
+    }
+    EXPECT_GT(session.cache_flushes(), 0u);
+    EXPECT_GT(session.lane_windows(), 0u);
+    EXPECT_FALSE(session.fallback_active());
+  }
+}
+
+// A fresh session over a loaded artifact lanes on its first pass,
+// importing baked edges from inside the lanes.
+TEST(LazyDfaLaneTest, ColdArtifactSessionLanes) {
+  grammar::Grammar g = MustParse(kTwinGrammar);
+  Rng rng(0xa27);
+  const std::string input = RecordStream(
+      {"abc", "12+3", "de", "4*56", "fgh", "x", "9/9"}, rng, 3 * kLaneWindow);
+  for (ArmMode mode : kModes) {
+    TaggerOptions opt;
+    opt.arm_mode = mode;
+    artifact::LoadedTagger loaded = LoadWithAot(g, opt, kFullClosure);
+    ASSERT_NE(loaded.engine->aot(), nullptr);
+    LazyDfaSession session = loaded.engine->NewSession();
+    std::vector<Tag> got;
+    const TagSink sink = [&](const Tag& tag) {
+      got.push_back(tag);
+      return true;
+    };
+    for (size_t i = 0; i < input.size(); i += kLaneWindow) {
+      session.Feed(std::string_view(input).substr(i, kLaneWindow), sink);
+    }
+    session.Finish(sink);
+    ExpectSameTags(Functional(g, opt, input), got);
+    EXPECT_GT(session.lane_windows(), 0u);
+    EXPECT_GT(session.cache_imports(), 0u);
+  }
+}
+
+// Chunks of `input` under the lane floor, each cut just after a record
+// byte followed by a byte of `starts`, which must be non-delimiters that
+// can start a token: no idle skip can span such a cut (delimiter runs end
+// at a non-delimiter, resync garbage at the record byte, scan-mode runs at
+// a byte that can arm), so the chunked feed steps exactly as one whole
+// feed without lanes would.
+std::vector<std::string_view> SequentialChunks(std::string_view input,
+                                               std::string_view starts) {
+  std::vector<std::string_view> chunks;
+  size_t from = 0;
+  while (from < input.size()) {
+    size_t cut = input.find('\n', from + kLaneFloor / 2);
+    while (cut != std::string_view::npos && cut + 1 < input.size() &&
+           starts.find(input[cut + 1]) == std::string_view::npos) {
+      cut = input.find('\n', cut + 1);
+    }
+    const size_t end = cut == std::string_view::npos ? input.size() : cut + 1;
+    EXPECT_LT(end - from, kLaneFloor);
+    chunks.push_back(input.substr(from, end - from));
+    from = end;
+  }
+  return chunks;
+}
+
+struct AttributionTotals {
+  uint64_t hits = 0, misses = 0, skipped = 0;
+  std::map<std::string, uint64_t> matches;
+  std::vector<Tag> tags;
+  bool operator==(const AttributionTotals& o) const {
+    return hits == o.hits && misses == o.misses && skipped == o.skipped &&
+           matches == o.matches && tags == o.tags;
+  }
+};
+
+uint64_t SkippedBytes(SkipMetrics::Kind kind) {
+  uint64_t n = 0;
+  for (int s = 0; s < kNumSkipStrategies; ++s) {
+    n += SkipMetrics::Get().Of(kind, static_cast<SkipStrategy>(s))->Value();
+  }
+  return n;
+}
+
+uint64_t AllSkippedBytes() {
+  uint64_t n = 0;
+  for (int k = 0; k < SkipMetrics::kNumKinds; ++k) {
+    n += SkippedBytes(static_cast<SkipMetrics::Kind>(k));
+  }
+  return n;
+}
+
+// One pass of `session` over `chunks` with attribution on.
+AttributionTotals AttributedPass(LazyDfaSession& session,
+                                 const std::vector<std::string_view>& chunks) {
+  obs::AttributionTable& table = obs::AttributionTable::Default();
+  table.Clear();
+  session.Reset();
+  AttributionTotals out;
+  const uint64_t skipped = AllSkippedBytes();
+  const TagSink sink = [&](const Tag& tag) {
+    out.tags.push_back(tag);
+    return true;
+  };
+  for (std::string_view c : chunks) session.Feed(c, sink);
+  session.Finish(sink);
+  out.hits = table.dfa_cache_hits();
+  out.misses = table.dfa_cache_misses();
+  out.skipped = AllSkippedBytes() - skipped;
+  for (const obs::AttributionTable::Row& row : table.RankedTokens()) {
+    out.matches[row.name] = row.hits;
+  }
+  return out;
+}
+
+const char kAbGrammar[] = "A [a]+\nB [b]+\n%%\ns: A B;\n%%\n";
+
+// As in CutOffRecordsMissGuessesButStayExact (guesses miss half the time),
+// with new spellings joining every 16 KiB, so that lanes started from
+// wrong guesses meet edges a sequential feed builds later or never.
+std::string NewSpellingStream(Rng& rng) {
+  const char* const kSpellings[] = {"aa",  "bb",  "ab",  "ba",   "aab",
+                                    "bba", "a?b", "b?a", "ab?b", "?ab"};
+  std::string out;
+  while (out.size() < 3 * kLaneWindow) {
+    const size_t known =
+        std::min<size_t>(2 + out.size() / kLaneFloor, std::size(kSpellings));
+    out += kSpellings[rng.NextIndex(known)];
+    out.append(16, ' ');
+    out += "\n";
+  }
+  return out;
+}
+
+// DFA hit/miss and per-token match totals, and the skip counters, of a
+// laned feed equal those of a sequential feed of the same bytes, cold and
+// warm, on a stream whose guesses hit and on ones whose guesses miss; over
+// a compiled tagger (guessed lanes stop at misses) and over a loaded
+// artifact (guessed lanes defer imports to the replay).
+TEST(LazyDfaLaneTest, AttributionTotalsMatchSequentialFeed) {
+  grammar::Grammar calc = MustParse(kCalcGrammar);
+  grammar::Grammar ab = MustParse(kAbGrammar);
+  Rng rng(0xa77);
+  std::string missing;
+  while (missing.size() < 2 * kLaneWindow) {
+    missing += rng.NextBool() ? "12+34" : "12+";
+    missing.append(16, ' ');
+    missing += "\n";
+  }
+  const std::string ab_stream = NewSpellingStream(rng);
+  struct Stream {
+    const grammar::Grammar* g;
+    std::string input;
+    std::string_view starts;  // bytes that start a token (see above)
+  };
+  const Stream streams[] = {
+      {&calc, RecordStream(kCalcWords, rng, 2 * kLaneWindow), kCalcStarts},
+      {&calc, missing, kCalcStarts},
+      {&ab, ab_stream, "a"}};
+  const bool was_enabled = obs::AttributionTable::enabled();
+  obs::AttributionTable::set_enabled(true);
+  for (const Stream& stream : streams) {
+    const grammar::Grammar& g = *stream.g;
+    const std::string& input = stream.input;
+    const std::vector<std::string_view> chunks =
+        SequentialChunks(input, stream.starts);
+    for (ArmMode mode : {ArmMode::kScan, ArmMode::kResync}) {
+      for (bool baked : {false, true}) {
+        TaggerOptions opt;
+        opt.arm_mode = mode;
+        auto compiled = LazyDfaTagger::Create(&g, opt);
+        ASSERT_TRUE(compiled.ok()) << compiled.status();
+        artifact::LoadedTagger loaded;
+        if (baked) loaded = LoadWithAot(g, opt, kFullClosure);
+        const LazyDfaTagger& t = baked ? *loaded.engine : *compiled;
+        LazyDfaSession laned = t.NewSession();
+        LazyDfaSession sequential = t.NewSession();
+        for (int pass = 0; pass < 2; ++pass) {
+          const AttributionTotals want = AttributedPass(sequential, chunks);
+          const AttributionTotals got = AttributedPass(laned, {input});
+          EXPECT_TRUE(got == want)
+              << (baked ? "baked" : "compiled") << " pass " << pass
+              << ": hits " << got.hits << "/" << want.hits << " misses "
+              << got.misses << "/" << want.misses << " skipped "
+              << got.skipped << "/" << want.skipped;
+          EXPECT_GT(want.hits, 0u);
+        }
+        EXPECT_GT(laned.lane_windows(), 0u);
+        EXPECT_EQ(sequential.lane_windows(), 0u);
+        EXPECT_EQ(laned.cache_imports(), sequential.cache_imports());
+      }
+    }
+  }
+  obs::AttributionTable::Default().Clear();
+  obs::AttributionTable::set_enabled(was_enabled);
+}
+
+// Guessed lanes never write the table, so a laned feed grows, flushes and
+// falls back exactly as a sequential feed of the same bytes: at a
+// starvation-sized cache with the default fallback threshold, on a stream
+// whose guesses miss, the table, the flush count and the fallback verdict
+// match after every laned chunk, compiled and baked.
+TEST(LazyDfaLaneTest, GuessesLeaveFlushesAndFallbackUnchanged) {
+  grammar::Grammar g = MustParse(kAbGrammar);
+  Rng rng(0xf10);
+  const std::string input = NewSpellingStream(rng);
+  // The laned session takes four sequential chunks per Feed (32-64 KiB).
+  const std::vector<std::string_view> chunks = SequentialChunks(input, "a");
+  constexpr size_t kPerFeed = 4;
+  for (ArmMode mode : {ArmMode::kScan, ArmMode::kResync}) {
+    for (bool baked : {false, true}) {
+      TaggerOptions opt;
+      opt.arm_mode = mode;
+      // The fourth flush (the default threshold) falls back after several
+      // laned windows.
+      opt.dfa_cache_bytes = 2300;
+      ASSERT_EQ(opt.dfa_flush_fallback, TaggerOptions{}.dfa_flush_fallback);
+      auto compiled = LazyDfaTagger::Create(&g, opt);
+      ASSERT_TRUE(compiled.ok()) << compiled.status();
+      artifact::LoadedTagger loaded;
+      if (baked) loaded = LoadWithAot(g, opt, kFullClosure);
+      const LazyDfaTagger& t = baked ? *loaded.engine : *compiled;
+      const std::vector<Tag> want = Functional(g, opt, input);
+      LazyDfaSession laned = t.NewSession();
+      LazyDfaSession sequential = t.NewSession();
+      for (int pass = 0; pass < 3; ++pass) {
+        std::vector<Tag> got_laned, got_sequential;
+        const TagSink to_laned = [&](const Tag& tag) {
+          got_laned.push_back(tag);
+          return true;
+        };
+        const TagSink to_sequential = [&](const Tag& tag) {
+          got_sequential.push_back(tag);
+          return true;
+        };
+        laned.Reset();
+        sequential.Reset();
+        for (size_t i = 0; i < chunks.size(); i += kPerFeed) {
+          const size_t last = std::min(i + kPerFeed, chunks.size()) - 1;
+          const char* begin = chunks[i].data();
+          laned.Feed(std::string_view(begin, static_cast<size_t>(
+                                                 chunks[last].data() +
+                                                 chunks[last].size() - begin)),
+                     to_laned);
+          for (size_t c = i; c <= last; ++c) {
+            sequential.Feed(chunks[c], to_sequential);
+          }
+          ASSERT_EQ(laned.cache_flushes(), sequential.cache_flushes())
+              << "pass " << pass << " chunk " << i;
+          ASSERT_EQ(laned.fallback_active(), sequential.fallback_active())
+              << "pass " << pass << " chunk " << i;
+          ASSERT_EQ(laned.cache_states(), sequential.cache_states())
+              << "pass " << pass << " chunk " << i;
+          ASSERT_EQ(laned.cache_bytes(), sequential.cache_bytes())
+              << "pass " << pass << " chunk " << i;
+        }
+        laned.Finish(to_laned);
+        sequential.Finish(to_sequential);
+        ExpectSameTags(want, got_laned);
+        ExpectSameTags(want, got_sequential);
+      }
+      EXPECT_GT(sequential.cache_flushes(), 0u);
+      EXPECT_TRUE(sequential.fallback_active());
+      EXPECT_GT(laned.lane_windows(), 0u);
+      EXPECT_GT(laned.lane_guess_misses(), 0u);
+      EXPECT_EQ(sequential.lane_windows(), 0u);
+    }
+  }
+}
+
+// Dead armed states skip only delimiter runs, and only those edges stay
+// slow: an armed run of two or more delimiters still counts its kDelimiter
+// skip, laned or not.
+TEST(LazyDfaLaneTest, ArmedDelimiterRunsStillSkip) {
+  grammar::Grammar g = MustParse(kCalcGrammar);
+  TaggerOptions opt;
+  opt.arm_mode = ArmMode::kResync;
+  auto t = LazyDfaTagger::Create(&g, opt);
+  ASSERT_TRUE(t.ok()) << t.status();
+  // "12+" leaves NUM armed; once the lagging machine has stepped the
+  // first two spaces nothing is live, and the other four are the run.
+  const std::string record = "12+      34\n";
+  std::string input;
+  while (input.size() < 2 * kLaneWindow) input += record;
+  const std::vector<Tag> want = Functional(g, opt, input);
+  for (bool laned : {false, true}) {
+    LazyDfaSession session = t->NewSession();
+    std::vector<std::string_view> chunks =
+        laned ? std::vector<std::string_view>{input}
+              : SequentialChunks(input, kCalcStarts);
+    for (int pass = 0; pass < 2; ++pass) {
+      session.Reset();
+      const uint64_t before = SkippedBytes(SkipMetrics::kDelimiter);
+      std::vector<Tag> got;
+      const TagSink sink = [&](const Tag& tag) {
+        got.push_back(tag);
+        return true;
+      };
+      for (std::string_view c : chunks) session.Feed(c, sink);
+      session.Finish(sink);
+      ExpectSameTags(want, got);
+      // Each record's run: one real step on its last space, three
+      // skipped.
+      EXPECT_EQ(SkippedBytes(SkipMetrics::kDelimiter) - before,
+                3 * (input.size() / record.size()))
+          << (laned ? "laned" : "sequential") << " pass " << pass;
+    }
+    EXPECT_EQ(session.lane_windows() > 0, laned);
+  }
 }
 
 }  // namespace
