@@ -44,6 +44,16 @@ struct ScanMetrics {
   }
 };
 
+// Appends one alert per match of `matcher` over `view`, whose first byte
+// is stream offset `base`.
+void AppendMatches(const SpanMatcher& matcher, std::string_view view,
+                   uint64_t base, std::vector<Alert>* alerts) {
+  matcher.ScanWith(view, [&](uint32_t rule, uint64_t end) {
+    alerts->push_back(Alert{rule, base + end});
+    return true;
+  });
+}
+
 }  // namespace
 
 StatusOr<ContextFilter> ContextFilter::Create(grammar::Grammar grammar,
@@ -52,52 +62,48 @@ StatusOr<ContextFilter> ContextFilter::Create(grammar::Grammar grammar,
   if (rules.empty()) {
     return InvalidArgumentError("a filter needs at least one rule");
   }
-  std::vector<std::string> patterns;
-  patterns.reserve(rules.size());
-  for (const Rule& r : rules) {
+  // Patterns and rule indices per rule context; slot num_tokens holds the
+  // context-free rules.
+  const size_t num_tokens = grammar.NumTokens();
+  std::vector<std::vector<std::string_view>> patterns(num_tokens + 1);
+  std::vector<std::vector<uint32_t>> ids(num_tokens + 1);
+  std::vector<std::string_view> all_patterns;
+  std::vector<uint32_t> all_ids;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Rule& r = rules[i];
     if (r.pattern.empty()) {
       return InvalidArgumentError("rule '" + r.id + "' has an empty pattern");
     }
-    patterns.push_back(r.pattern);
-  }
-
-  const size_t num_tokens = grammar.NumTokens();
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  std::vector<uint8_t> is_global(rules.size(), 0);
-  std::vector<size_t> global_rules;
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (rules[i].context_token.empty()) {
-      is_global[i] = 1;
-      global_rules.push_back(i);
-      continue;
+    size_t ctx = num_tokens;
+    if (!r.context_token.empty()) {
+      const int32_t t = grammar.FindToken(r.context_token);
+      if (t < 0) {
+        return NotFoundError("rule '" + r.id + "' binds to token '" +
+                             r.context_token +
+                             "' which the grammar does not define");
+      }
+      ctx = static_cast<size_t>(t);
     }
-    const int32_t t = grammar.FindToken(rules[i].context_token);
-    if (t < 0) {
-      return NotFoundError("rule '" + rules[i].id + "' binds to token '" +
-                           rules[i].context_token +
-                           "' which the grammar does not define");
-    }
-    by_token[t].push_back(i);
+    patterns[ctx].push_back(r.pattern);
+    ids[ctx].push_back(static_cast<uint32_t>(i));
+    all_patterns.push_back(r.pattern);
+    all_ids.push_back(static_cast<uint32_t>(i));
   }
-  // Flatten the binding into the forms Scan() reads per tag: a gate byte
-  // per token and a (token, rule) bitmap, so the hot loop does no
-  // std::find over rule index vectors.
-  std::vector<uint8_t> token_has_rules(num_tokens, 0);
-  std::vector<uint8_t> bound_bitmap(num_tokens * rules.size(), 0);
-  for (size_t t = 0; t < num_tokens; ++t) {
-    token_has_rules[t] = by_token[t].empty() ? 0 : 1;
-    for (size_t rule : by_token[t]) {
-      bound_bitmap[t * rules.size() + rule] = 1;
-    }
+  std::vector<SpanMatcher> matchers(num_tokens + 1);
+  for (size_t ctx = 0; ctx <= num_tokens; ++ctx) {
+    CFGTAG_ASSIGN_OR_RETURN(matchers[ctx],
+                            SpanMatcher::Create(patterns[ctx], ids[ctx]));
   }
+  CFGTAG_ASSIGN_OR_RETURN(SpanMatcher all_rules,
+                          SpanMatcher::Create(all_patterns, all_ids));
+  SpanMatcher context_free = std::move(matchers.back());
+  matchers.pop_back();
 
   CFGTAG_ASSIGN_OR_RETURN(
       auto tagger, core::CompiledTagger::Compile(std::move(grammar), options));
   return ContextFilter(std::move(rules), std::move(tagger),
-                       tagger::NaiveMatcher(std::move(patterns)),
-                       std::move(by_token), std::move(bound_bitmap),
-                       std::move(token_has_rules), std::move(is_global),
-                       std::move(global_rules));
+                       std::move(matchers), std::move(context_free),
+                       std::move(all_rules));
 }
 
 void ContextFilter::OnTag(std::string_view stream, const tagger::Tag& tag,
@@ -116,18 +122,11 @@ void ContextFilter::OnTag(std::string_view stream, const tagger::Tag& tag,
   // holds; a trailing open-class token can report an end inside the
   // flush padding, which substr's count clamp absorbs.
   if (tag.token >= 0 &&
-      static_cast<size_t>(tag.token) < token_has_rules_.size() &&
-      token_has_rules_[tag.token] && begin < stream.size()) {
+      static_cast<size_t>(tag.token) < token_matchers_.size() &&
+      !token_matchers_[tag.token].empty() && begin < stream.size()) {
     local->spans_scanned++;
-    const std::string_view ctx = stream.substr(begin, tag.end - begin + 1);
-    const uint8_t* bound =
-        bound_bitmap_.data() + static_cast<size_t>(tag.token) * rules_.size();
-    matcher_.ScanWith(ctx, [&](int32_t pattern, uint64_t end) {
-      if (bound[pattern]) {
-        alerts->push_back(Alert{static_cast<size_t>(pattern), begin + end});
-      }
-      return true;
-    });
+    AppendMatches(token_matchers_[tag.token],
+                  stream.substr(begin, tag.end - begin + 1), begin, alerts);
   }
   st->prev_begin = begin;
   st->prev_end = tag.end;
@@ -139,14 +138,7 @@ void ContextFilter::FinalizeAlerts(std::string_view global_view,
                                    ScanStats* local, ScanStats* stats) const {
   const ScanMetrics& metrics = ScanMetrics::Get();
   // Context-free rules run over the whole (consumed) stream.
-  if (!global_rules_.empty()) {
-    matcher_.ScanWith(global_view, [&](int32_t pattern, uint64_t end) {
-      if (is_global_[pattern]) {
-        alerts->push_back(Alert{static_cast<size_t>(pattern), end});
-      }
-      return true;
-    });
-  }
+  AppendMatches(context_free_, global_view, 0, alerts);
 
   std::stable_sort(
       alerts->begin(), alerts->end(),
@@ -225,22 +217,13 @@ Status ContextFilter::Scan(std::string_view stream,
 std::vector<Alert> ContextFilter::ScanContextFree(
     std::string_view stream) const {
   std::vector<Alert> alerts;
-  if (global_rules_.empty()) return alerts;
-  matcher_.ScanWith(stream, [&](int32_t pattern, uint64_t end) {
-    if (is_global_[pattern]) {
-      alerts.push_back(Alert{static_cast<size_t>(pattern), end});
-    }
-    return true;
-  });
+  AppendMatches(context_free_, stream, 0, &alerts);
   return alerts;
 }
 
 std::vector<Alert> ContextFilter::ScanUngated(std::string_view stream) const {
   std::vector<Alert> alerts;
-  matcher_.ScanWith(stream, [&](int32_t pattern, uint64_t end) {
-    alerts.push_back(Alert{static_cast<size_t>(pattern), end});
-    return true;
-  });
+  AppendMatches(all_rules_, stream, 0, &alerts);
   return alerts;
 }
 

@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "core/resilience/deadline.h"
 #include "core/token_tagger.h"
-#include "tagger/naive_matcher.h"
+#include "nids/span_matcher.h"
 
 namespace cfgtag::nids {
 
@@ -54,9 +54,12 @@ struct ScanStats {
 // share an end offset — two tokens detected at the same byte — share the
 // same span.
 //
-// The pattern matcher is an Aho–Corasick automaton compiled once at
-// Create() time; Scan() streams tags out of a pooled TaggerSession and
-// matches each span as its tag arrives, so no tag vector is materialized.
+// Create() compiles one flat Aho–Corasick SpanMatcher per rule context:
+// one per rule-bearing token over only that token's rules, one over the
+// context-free rules and one over every rule (ScanUngated). Scan() streams
+// tags out of a pooled TaggerSession and runs the tag's token matcher over
+// each span as its tag arrives, so no tag vector is materialized and no
+// match is filtered after the fact.
 // Scan() is const and thread-safe: the scan engine calls it concurrently
 // from many workers against one filter.
 class ContextFilter {
@@ -96,20 +99,13 @@ class ContextFilter {
 
  private:
   ContextFilter(std::vector<Rule> rules, core::CompiledTagger tagger,
-                tagger::NaiveMatcher matcher,
-                std::vector<std::vector<size_t>> rules_by_token,
-                std::vector<uint8_t> bound_bitmap,
-                std::vector<uint8_t> token_has_rules,
-                std::vector<uint8_t> is_global,
-                std::vector<size_t> global_rules)
+                std::vector<SpanMatcher> token_matchers,
+                SpanMatcher context_free, SpanMatcher all_rules)
       : rules_(std::move(rules)),
         tagger_(std::move(tagger)),
-        matcher_(std::move(matcher)),
-        rules_by_token_(std::move(rules_by_token)),
-        bound_bitmap_(std::move(bound_bitmap)),
-        token_has_rules_(std::move(token_has_rules)),
-        is_global_(std::move(is_global)),
-        global_rules_(std::move(global_rules)) {}
+        token_matchers_(std::move(token_matchers)),
+        context_free_(std::move(context_free)),
+        all_rules_(std::move(all_rules)) {}
 
   // Span-recovery state threaded through the tag stream (see Scan()).
   struct TagScanState {
@@ -131,18 +127,12 @@ class ContextFilter {
 
   std::vector<Rule> rules_;
   core::CompiledTagger tagger_;
-  // One pattern per rule, in rule order (Aho–Corasick, built at Create).
-  tagger::NaiveMatcher matcher_;
-  // rules_by_token_[token_id] = indices of rules bound to that token.
-  std::vector<std::vector<size_t>> rules_by_token_;
-  // Everything below is precomputed at Create() so Scan() does no rule
-  // table walking: bound_bitmap_[token * rules_.size() + rule] = 1 iff
-  // `rule` is bound to `token`; token_has_rules_[token] gates the span
-  // scan; is_global_/global_rules_ are the context-free rule set.
-  std::vector<uint8_t> bound_bitmap_;
-  std::vector<uint8_t> token_has_rules_;
-  std::vector<uint8_t> is_global_;
-  std::vector<size_t> global_rules_;
+  // token_matchers_[token] matches the rules bound to `token` (empty for
+  // a token without rules); context_free_ the rules with no context;
+  // all_rules_ every rule. Each reports rule indices.
+  std::vector<SpanMatcher> token_matchers_;
+  SpanMatcher context_free_;
+  SpanMatcher all_rules_;
 };
 
 }  // namespace cfgtag::nids
