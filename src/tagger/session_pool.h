@@ -32,6 +32,9 @@ namespace cfgtag::tagger {
 // that just ended — so after a 100-way burst, the first steady
 // single-threaded scan shrinks the pool to one retained session. Dropped
 // sessions are freed on the spot and counted in sessions_dropped().
+// A drain between concurrent checkouts is a burst end like any other,
+// whatever caused it (the scheduler included); only while a checkout stays
+// outstanding is the number of sessions built bounded by peak concurrency.
 //
 // Session requirements: constructible from `const Tagger*` and
 // `Rebind(const Tagger*)` re-targeting it without reallocating when the
